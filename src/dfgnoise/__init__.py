@@ -11,7 +11,6 @@ file-format / CLI layer (:mod:`dfgnoise.config`, :mod:`dfgnoise.dataio`,
 
 from .converter import (
     ConverterParams,
-    WavelengthTriple,
     dfg_efficiency,
     dip_depth,
     peak_pump_power,
@@ -28,10 +27,11 @@ from .counting import (
     CountRecord,
     MeasurementChain,
     chain_transmission,
+    expected_counts,
+    normalize_counts,
     normalize_to_waveguide,
     simulate_counts,
     simulate_sweep,
-    visible_band_fraction_correction,
 )
 from .fitting import (
     FitResult,
@@ -57,12 +57,12 @@ from .spectra import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConverterParams", "WavelengthTriple", "dfg_efficiency", "dip_depth",
+    "ConverterParams", "dfg_efficiency", "dip_depth",
     "peak_pump_power", "photons_per_mode", "rescale_alpha_to_bandwidth",
     "sfg_partner_wavelength", "telecom_noise_rate", "telecom_noise_rate_quadrature",
     "telecom_partner_wavelength", "visible_noise_rate", "visible_noise_rate_lowpower",
-    "CountRecord", "MeasurementChain", "chain_transmission", "normalize_to_waveguide",
-    "simulate_counts", "simulate_sweep", "visible_band_fraction_correction",
+    "CountRecord", "MeasurementChain", "chain_transmission", "expected_counts",
+    "normalize_counts", "normalize_to_waveguide", "simulate_counts", "simulate_sweep",
     "FitResult", "PowerSweep", "fit_alpha_linear", "fit_alpha_visible",
     "fit_efficiency_shared", "lsq_minimize", "predict_noise_curves",
     "FilterProfile", "SfgMode", "SpectralScan", "band_fraction",

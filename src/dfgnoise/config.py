@@ -9,7 +9,7 @@ template emitted by ``validate-config --write-template``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -359,14 +359,7 @@ def parse_config(raw: dict, source: str = "<dict>") -> RunConfig:
             )
             explicit_vis = v.number(entry, "lambda_vis_nm", path, None)
             if explicit_vis is not None:
-                mode = SfgMode(
-                    label=mode.label,
-                    lambda_tele_nm=mode.lambda_tele_nm,
-                    lambda_vis_nm=explicit_vis,
-                    fwhm_sfg_nm=mode.fwhm_sfg_nm,
-                    fwhm_dip_nm=mode.fwhm_dip_nm,
-                    relative_strength=mode.relative_strength,
-                )
+                mode = replace(mode, lambda_vis_nm=explicit_vis)
                 check_mode_energy_conservation(mode, pump_nm)
             modes.append(mode)
         except DfgNoiseError as exc:

@@ -26,13 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import ParameterError
 
 __all__ = [
     "ConverterParams",
-    "WavelengthTriple",
     "dfg_efficiency",
     "efficiency_curve",
     "peak_pump_power",
@@ -104,36 +102,6 @@ class ConverterParams:
         if which == "external":
             return self.eta_max_ext
         raise ParameterError(f"which must be 'internal' or 'external', got {which!r}")
-
-
-@dataclass(frozen=True)
-class WavelengthTriple:
-    """The three wavelengths of the conversion process, in nm.
-
-    Energy conservation requires 1/lambda_vis = 1/lambda_pump +
-    1/lambda_tele; the constructor enforces it to ``rel_tol`` on the
-    inverse-wavelength sum.
-    """
-
-    lambda_vis_nm: float
-    lambda_pump_nm: float
-    lambda_tele_nm: float
-    rel_tol: float = 1e-4
-
-    def __post_init__(self):
-        if not 0 < self.lambda_vis_nm < self.lambda_pump_nm < self.lambda_tele_nm:
-            raise ParameterError(
-                "wavelengths must satisfy 0 < vis < pump < tele, got "
-                f"{self.lambda_vis_nm}, {self.lambda_pump_nm}, {self.lambda_tele_nm}"
-            )
-        lhs = 1.0 / self.lambda_vis_nm
-        rhs = 1.0 / self.lambda_pump_nm + 1.0 / self.lambda_tele_nm
-        if abs(lhs - rhs) > self.rel_tol * lhs:
-            raise ParameterError(
-                "wavelengths violate energy conservation: "
-                f"1/{self.lambda_vis_nm} differs from 1/{self.lambda_pump_nm} + "
-                f"1/{self.lambda_tele_nm} by more than rel_tol={self.rel_tol}"
-            )
 
 
 def _sinc(x):
@@ -223,17 +191,20 @@ def telecom_noise_rate_quadrature(
     """Telecom noise rate by direct numerical integration along the waveguide.
 
     Integrates alpha_n * P * (1 - eta_max * sin^2(x*sqrt(eta_n*P))) over
-    x in [0, L] with a composite Simpson rule on ``n_steps`` intervals.
-    Serves as an independent oracle for :func:`telecom_noise_rate`; it
-    never calls the closed form.
+    x in [0, L] with a composite Simpson rule on ``n_steps`` intervals
+    (an even number).  Serves as an independent oracle for
+    :func:`telecom_noise_rate`; it never calls the closed form.
     """
-    if n_steps < 2:
-        raise ParameterError("n_steps must be at least 2")
+    if n_steps < 2 or n_steps % 2:
+        raise ParameterError(f"n_steps must be even and at least 2, got {n_steps}")
     p = float(_check_pump(pump_w))
     eta = params.eta_max_int if eta_max is None else eta_max
     x = np.linspace(0.0, params.length_cm, n_steps + 1)
     integrand = params.alpha_n * p * (1.0 - eta * np.sin(x * np.sqrt(params.eta_n * p)) ** 2)
-    return float(simpson(integrand, x=x))
+    weights = np.ones(n_steps + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float(weights @ integrand) * (x[1] - x[0]) / 3.0
 
 
 def visible_noise_rate(params: ConverterParams, pump_w, eta_max: float | None = None):

@@ -3,8 +3,9 @@
 The chain applies a stack of transmission factors and a detector
 efficiency to the rate at the waveguide output, adds dark counts, and
 draws Poisson counts over the integration time.  The inverse direction
-(:func:`normalize_to_waveguide`) undoes the same bookkeeping on measured
-counts.  Dead time and afterpulsing are deliberately not modeled.
+(:func:`normalize_counts`) undoes the same bookkeeping on measured
+counts.  Both directions work on scalars and arrays alike.  Dead time
+and afterpulsing are deliberately not modeled.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ __all__ = [
     "CountRecord",
     "NormalizedRate",
     "chain_transmission",
+    "expected_counts",
     "simulate_counts",
     "simulate_sweep",
+    "normalize_counts",
     "normalize_to_waveguide",
-    "visible_band_fraction_correction",
     "derive_seed",
 ]
 
@@ -77,15 +79,11 @@ class CountRecord:
 
 class NormalizedRate(NamedTuple):
     """Rate at the waveguide output inferred from counts, with 1-sigma
-    Poisson uncertainty.  Negative central values are possible when the
-    signal is below the dark rate; check :attr:`is_negative`."""
+    Poisson uncertainty (scalars or arrays).  Negative central values are
+    possible when the signal is below the dark rate."""
 
     rate_hz: float
     sigma_hz: float
-
-    @property
-    def is_negative(self) -> bool:
-        return self.rate_hz < 0
 
 
 def chain_transmission(chain: MeasurementChain) -> float:
@@ -106,23 +104,29 @@ def derive_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((int(base_seed), int(index))).generate_state(1)[0])
 
 
+def expected_counts(true_rate_hz, chain: MeasurementChain, duration_s: float):
+    """Poisson mean of the detected counts, (rate * chain transmission +
+    dark rate) * time, for a scalar or an array of waveguide-output rates."""
+    if np.any(np.asarray(true_rate_hz) < 0):
+        raise ParameterError("true rate must be non-negative")
+    return (true_rate_hz * chain_transmission(chain) + chain.dark_rate_hz) * duration_s
+
+
+def _draw(mean, seed: int, duration_s: float) -> CountRecord:
+    counts = np.random.default_rng(seed).poisson(mean)
+    return CountRecord(counts=int(counts), duration_s=duration_s, seed=int(seed))
+
+
 def simulate_counts(
     true_rate_hz: float,
     chain: MeasurementChain,
     seed: int,
     duration_s: float | None = None,
 ) -> CountRecord:
-    """Draw detected counts for a given waveguide-output rate.
-
-    The Poisson mean is (rate * chain transmission + dark rate) * time.
-    Identical seeds give identical counts.
-    """
-    if true_rate_hz < 0:
-        raise ParameterError("true rate must be non-negative")
+    """Draw detected counts for a given waveguide-output rate.  Identical
+    seeds give identical counts."""
     t = chain.integration_time_s if duration_s is None else duration_s
-    mean = (true_rate_hz * chain_transmission(chain) + chain.dark_rate_hz) * t
-    rng = np.random.default_rng(seed)
-    return CountRecord(counts=int(rng.poisson(mean)), duration_s=t, seed=int(seed))
+    return _draw(expected_counts(true_rate_hz, chain, t), seed, t)
 
 
 def simulate_sweep(
@@ -133,33 +137,33 @@ def simulate_sweep(
 ) -> list[CountRecord]:
     """Counting results for a list of rates, one derived seed per point, so
     the outcome is independent of evaluation order."""
-    return [
-        simulate_counts(rate, chain, derive_seed(base_seed, i), duration_s=duration_s)
-        for i, rate in enumerate(np.asarray(true_rates_hz, dtype=float))
-    ]
+    t = chain.integration_time_s if duration_s is None else duration_s
+    means = expected_counts(np.asarray(true_rates_hz, dtype=float), chain, t)
+    return [_draw(mean, derive_seed(base_seed, i), t) for i, mean in enumerate(means)]
+
+
+def normalize_counts(
+    counts, duration_s, chain: MeasurementChain, in_band_fraction: float = 1.0
+) -> NormalizedRate:
+    """Invert the detection chain for scalar or array counts: rate at the
+    waveguide output and its Poisson uncertainty.
+
+    rate = (counts/duration - dark) / transmission * in_band_fraction,
+    sigma = sqrt(counts) / duration / transmission * in_band_fraction,
+    with sigma floored at one count (in_band_fraction / duration /
+    transmission) so an empty bin keeps a finite weight.
+    ``in_band_fraction`` keeps only the part of the rate that belongs to
+    the target spectral peak.
+    """
+    if not 0.0 < in_band_fraction <= 1.0:
+        raise ParameterError(f"in_band_fraction must be in (0, 1], got {in_band_fraction}")
+    transmission = chain_transmission(chain)
+    rate = (counts / duration_s - chain.dark_rate_hz) / transmission * in_band_fraction
+    sigma = np.sqrt(counts) / duration_s / transmission * in_band_fraction
+    floor = in_band_fraction / duration_s / transmission
+    return NormalizedRate(rate_hz=rate, sigma_hz=np.maximum(sigma, floor))
 
 
 def normalize_to_waveguide(record: CountRecord, chain: MeasurementChain) -> NormalizedRate:
-    """Invert the detection chain: rate at the waveguide output and its
-    Poisson uncertainty.
-
-    rate = (counts/duration - dark) / transmission,
-    sigma = sqrt(counts) / duration / transmission.
-    """
-    transmission = chain_transmission(chain)
-    if transmission <= 0:
-        raise ParameterError("chain transmission must be positive")
-    raw = record.counts / record.duration_s
-    rate = (raw - chain.dark_rate_hz) / transmission
-    sigma = np.sqrt(record.counts) / record.duration_s / transmission
-    return NormalizedRate(rate_hz=float(rate), sigma_hz=float(sigma))
-
-
-def visible_band_fraction_correction(raw_rate_hz: float, in_band_fraction: float) -> float:
-    """Keep only the part of a measured rate that belongs to the target
-    spectral peak, given the fraction of detected counts it contributes."""
-    if not 0.0 < in_band_fraction <= 1.0:
-        raise ParameterError(
-            f"in_band_fraction must be in (0, 1], got {in_band_fraction}"
-        )
-    return raw_rate_hz * in_band_fraction
+    """:func:`normalize_counts` of one counting result."""
+    return normalize_counts(record.counts, record.duration_s, chain)

@@ -11,10 +11,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from .converter import ConverterParams
 from .errors import DataFormatError
 from .fitting import FitResult, PowerSweep
 from .spectra import SpectralScan
@@ -28,6 +30,7 @@ __all__ = [
     "read_counts_csv",
     "write_fit_json",
     "read_fit_json",
+    "apply_efficiency_fit",
     "write_residual_csv",
     "sha256_digest",
     "sidecar_path",
@@ -50,6 +53,24 @@ def sha256_digest(path: str | Path) -> str:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _read_json(path: Path) -> dict:
+    try:
+        payload = json.loads(path.read_text())
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # also covers undecodable bytes
+        raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _read_sidecar(path: Path) -> dict:
+    """Metadata sidecar of a data file; empty when there is none."""
+    meta_file = sidecar_path(path)
+    return _read_json(meta_file) if meta_file.exists() else {}
 
 
 def _parse_float(row_value: str, path: Path, line_no: int, column: str) -> float:
@@ -111,8 +132,7 @@ def read_scan_csv(path: str | Path) -> tuple[SpectralScan, dict]:
     for line_no, row in _read_rows(path, ["wavelength_nm", "rate_hz"]):
         wl.append(_parse_float(row[0], path, line_no, "wavelength_nm"))
         rate.append(_parse_float(row[1], path, line_no, "rate_hz"))
-    meta_file = sidecar_path(path)
-    meta = json.loads(meta_file.read_text()) if meta_file.exists() else {}
+    meta = _read_sidecar(path)
     scan = SpectralScan(
         wavelength_nm=np.array(wl),
         rate_hz=np.array(rate),
@@ -150,12 +170,11 @@ def read_sweep_csv(path: str | Path, kind: str | None = None) -> PowerSweep:
         y.append(_parse_float(row[1], path, line_no, "value"))
         s.append(_parse_float(row[2], path, line_no, "sigma"))
     if kind is None:
-        meta_file = sidecar_path(path)
-        meta = json.loads(meta_file.read_text()) if meta_file.exists() else {}
-        kind = meta.get("kind")
+        kind = _read_sidecar(path).get("kind")
         if kind is None:
             raise DataFormatError(
-                f"{path}: sweep kind not given and no sidecar {meta_file.name} found"
+                f"{path}: sweep kind given neither by the caller nor by the sidecar "
+                f"{sidecar_path(path).name}"
             )
     return PowerSweep(pump_w=np.array(p), value=np.array(y), sigma=np.array(s), kind=kind)
 
@@ -192,9 +211,7 @@ def read_counts_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
                 f"{path}:{line_no}: counts and seed must be integers"
             ) from None
         d.append(_parse_float(row[2], path, line_no, "duration_s"))
-    meta_file = sidecar_path(path)
-    meta = json.loads(meta_file.read_text()) if meta_file.exists() else {}
-    return np.array(p), np.array(c), np.array(d), seeds, meta
+    return np.array(p), np.array(c), np.array(d), seeds, _read_sidecar(path)
 
 
 # ---------------------------------------------------------------- fits
@@ -229,13 +246,24 @@ def write_fit_json(
 
 
 def read_fit_json(path: str | Path) -> dict:
-    path = Path(path)
-    try:
-        return json.loads(path.read_text())
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
+    return _read_json(Path(path))
+
+
+def apply_efficiency_fit(params: ConverterParams, fit: dict) -> ConverterParams:
+    """``params`` with the efficiencies and conversion parameter of a parsed
+    efficiency-fit payload (see :func:`write_fit_json`) swapped in."""
+    fitted = fit.get("parameters")
+    if not isinstance(fitted, dict):
+        fitted = {}
+    values = {}
+    for key in ("eta_max_int", "eta_max_ext", "eta_n"):
+        if key not in fitted:
+            raise DataFormatError(f"efficiency fit lacks the key parameters.{key}")
+        if isinstance(fitted[key], bool) or not isinstance(fitted[key], (int, float)):
+            raise DataFormatError(
+                f"efficiency fit: parameters.{key} is not a number: {fitted[key]!r}")
+        values[key] = fitted[key]
+    return replace(params, **values)
 
 
 def write_residual_csv(path: str | Path, pump_w, value, model, sigma) -> Path:

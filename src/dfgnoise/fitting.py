@@ -12,16 +12,17 @@ converter:
   shape fixed and the noise coefficient as the only free parameter.
 
 :func:`predict_noise_curves` then turns a parameter set into the model
-curves for overlay plots and residual checks, with no further tuning.
+curves for overlay plots, residual checks and the synthetic sweeps of
+the simulator, with no further tuning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from . import converter
 from .converter import ConverterParams, peak_pump_power, suppression_depth
@@ -70,6 +71,8 @@ class PowerSweep:
             raise ParameterError(f"unknown sweep kind {self.kind!r}")
         if self.pump_w.ndim != 1 or len({len(self.pump_w), len(self.value), len(self.sigma)}) != 1:
             raise ParameterError("pump_w, value and sigma must be 1-d and equally long")
+        if not all(np.all(np.isfinite(a)) for a in (self.pump_w, self.value, self.sigma)):
+            raise ParameterError("pump_w, value and sigma must all be finite")
         if np.any(self.pump_w < 0):
             raise ParameterError("pump powers must be non-negative")
         if np.any(np.diff(self.pump_w) <= 0):
@@ -240,7 +243,8 @@ def _logit(p):
 
 
 def _sigmoid(u):
-    return expit(u)
+    # the clamp keeps math.exp finite: far below -709 the result is ~1e-308
+    return 1.0 / (1.0 + math.exp(min(-u, 709.0)))
 
 
 def _eta_model_and_grads(p, eta_max, eta_n, length_cm):
@@ -338,16 +342,12 @@ def fit_efficiency_shared(
     scale = np.array([theta[0] * (1 - theta[0]), theta[1] * (1 - theta[1]), theta[2]])
     cov = raw.covariance * np.outer(scale, scale)
     names = ["eta_max_int", "eta_max_ext", "eta_n"]
-    return FitResult(
+    return replace(
+        raw,
         names=names,
         values=dict(zip(names, map(float, theta))),
         sigmas=dict(zip(names, map(float, np.sqrt(np.maximum(np.diag(cov), 0.0))))),
         covariance=cov,
-        chi2_reduced=raw.chi2_reduced,
-        n_iterations=raw.n_iterations,
-        converged=raw.converged,
-        message=raw.message,
-        n_points=raw.n_points,
     )
 
 
@@ -444,7 +444,8 @@ def fit_alpha_visible(
 
 @dataclass
 class NoiseCurves:
-    """Model curves for rate-vs-power overlays, all callables of pump power in W."""
+    """Model curves for rate-vs-power overlays, all callables of pump power in W.
+    ``peak_pump_w`` is infinite when the efficiency curve has no maximum."""
 
     telecom_onpeak: Callable[[np.ndarray], np.ndarray]
     telecom_detuned: Callable[[np.ndarray], np.ndarray]
@@ -461,26 +462,16 @@ def predict_noise_curves(
     The telecom curves use ``params.alpha_n``; the visible curves use
     ``alpha_n_visible`` when given (the visible coefficient refers to the
     full dip bandwidth rather than the telecom filter bandwidth), else
-    fall back to ``params.alpha_n``.  No parameter is re-tuned here.
+    fall back to ``params.alpha_n``.  Detuned from phase matching, no
+    noise is converted back, so the detuned curve is the on-peak one with
+    ``eta_max = 0``: the linear alpha_n * P * L.  No parameter is re-tuned
+    here.
     """
-    a_vis = params.alpha_n if alpha_n_visible is None else alpha_n_visible
-    vis_params = ConverterParams(
-        length_cm=params.length_cm,
-        eta_max_int=params.eta_max_int,
-        eta_max_ext=params.eta_max_ext,
-        eta_n=params.eta_n,
-        alpha_n=a_vis,
-        bandwidth_ref_hz=params.bandwidth_ref_hz,
-    )
+    vis_params = params if alpha_n_visible is None else replace(params, alpha_n=alpha_n_visible)
     return NoiseCurves(
         telecom_onpeak=lambda p: converter.telecom_noise_rate(params, p),
-        telecom_detuned=lambda p: _scalar_like(p, params.alpha_n * params.length_cm),
+        telecom_detuned=lambda p: converter.telecom_noise_rate(params, p, eta_max=0.0),
         visible=lambda p: converter.visible_noise_rate(vis_params, p),
         visible_quadratic=lambda p: converter.visible_noise_rate_lowpower(vis_params, p),
-        peak_pump_w=peak_pump_power(params),
+        peak_pump_w=peak_pump_power(params) if params.eta_n > 0 else math.inf,
     )
-
-
-def _scalar_like(p, slope):
-    out = np.asarray(p, dtype=float) * slope
-    return float(out) if np.ndim(out) == 0 else out

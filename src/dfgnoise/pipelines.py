@@ -23,6 +23,7 @@ from .fitting import (
     fit_alpha_linear,
     fit_alpha_visible,
     fit_efficiency_shared,
+    predict_noise_curves,
 )
 
 __all__ = [
@@ -42,9 +43,14 @@ _STREAM_EFF_INT = 0
 _STREAM_EFF_EXT = 1
 _STREAM_TELE_SPECTRUM = 2
 _STREAM_VIS_SPECTRUM = 3
-_STREAM_SWEEP = {"noise_tele_onpeak": 4, "noise_tele_detuned": 5, "noise_vis": 6}
+# noise sweeps: sub-stream index, detection chain, forward-model curve
+_SWEEPS = {
+    "noise_tele_onpeak": (4, "telecom", "telecom_onpeak"),
+    "noise_tele_detuned": (5, "telecom", "telecom_detuned"),
+    "noise_vis": (6, "visible", "visible"),
+}
 
-NOISE_SWEEP_KINDS = tuple(_STREAM_SWEEP)
+NOISE_SWEEP_KINDS = tuple(_SWEEPS)
 
 # minimum believable efficiency uncertainty, as a fraction of eta_max
 _EFF_SIGMA_FLOOR = 0.01
@@ -63,18 +69,10 @@ def _fine_step(scan_step: float, *widths: float) -> float:
 def _counting_noise(scan: spectra.SpectralScan, chain, rng) -> spectra.SpectralScan:
     """Poisson-sample a scan through a chain and normalize back, clipping
     the (rare) negative dark-subtracted values at zero."""
-    transmission = counting.chain_transmission(chain)
     t = chain.integration_time_s
-    mean = (scan.rate_hz * transmission + chain.dark_rate_hz) * t
-    observed = rng.poisson(mean)
-    rate = (observed / t - chain.dark_rate_hz) / transmission
-    return spectra.SpectralScan(
-        wavelength_nm=scan.wavelength_nm,
-        rate_hz=np.clip(rate, 0.0, None),
-        filter_fwhm_nm=scan.filter_fwhm_nm,
-        step_nm=scan.step_nm,
-        integration_time_s=t,
-    )
+    observed = rng.poisson(counting.expected_counts(scan.rate_hz, chain, t))
+    rate = counting.normalize_counts(observed, t, chain).rate_hz
+    return replace(scan, rate_hz=np.clip(rate, 0.0, None), integration_time_s=t)
 
 
 def simulate_efficiency(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
@@ -148,8 +146,8 @@ def simulate_visible_spectrum(
         raise ParameterError(f"unknown collection preset {collection!r}")
     p = cfg.sweep.pump_max_w if pump_w is None else pump_w
     scan_cfg = cfg.visible_scan
-    vis_widths = [m.fwhm_dip_nm * (m.lambda_vis_nm / m.lambda_tele_nm) ** 2 for m in cfg.modes]
-    step = _fine_step(scan_cfg.step_nm, cfg.spectrometer_fwhm_nm, *vis_widths)
+    step = _fine_step(scan_cfg.step_nm, cfg.spectrometer_fwhm_nm,
+                      *(m.fwhm_peak_nm for m in cfg.modes))
     pad = 6.0 * cfg.spectrometer_fwhm_nm
     fine = np.arange(scan_cfg.start_nm - pad, scan_cfg.stop_nm + pad + step / 2, step)
     intrinsic = spectra.visible_spectrum(
@@ -173,8 +171,7 @@ def visible_in_band_fraction(cfg: RunConfig, collection: str = "smf") -> float:
     fundamental-mode peak, computed from the synthetic spectra."""
     vis_params = _vis_params(cfg)
     fundamental = [cfg.modes[0]]
-    vis_widths = [m.fwhm_dip_nm * (m.lambda_vis_nm / m.lambda_tele_nm) ** 2 for m in cfg.modes]
-    step = min(vis_widths) / 20.0
+    step = min(m.fwhm_peak_nm for m in cfg.modes) / 20.0
     lo = min(m.lambda_vis_nm for m in cfg.modes) - 2.0
     hi = max(m.lambda_vis_nm for m in cfg.modes) + 2.0
     grid = np.arange(lo, hi, step)
@@ -187,31 +184,22 @@ def visible_in_band_fraction(cfg: RunConfig, collection: str = "smf") -> float:
     return spectra.band_fraction(target, total, cfg.bp_filter)
 
 
-def _true_sweep_rates(cfg: RunConfig, kind: str, grid: np.ndarray) -> np.ndarray:
-    if kind == "noise_tele_onpeak":
-        return np.asarray(converter.telecom_noise_rate(cfg.converter, grid))
-    if kind == "noise_tele_detuned":
-        return cfg.converter.alpha_n * grid * cfg.converter.length_cm
-    if kind == "noise_vis":
-        return np.asarray(converter.visible_noise_rate(_vis_params(cfg), grid))
-    raise ParameterError(f"unknown power-sweep kind {kind!r}")
-
-
 def simulate_power_sweep(cfg: RunConfig, seed: int, out_dir: Path, kind: str) -> Path:
     """Synthetic counting run of one noise sweep, written as raw counts."""
-    if kind not in _STREAM_SWEEP:
+    if kind not in _SWEEPS:
         raise ParameterError(
-            f"power-sweep kind must be one of {sorted(_STREAM_SWEEP)}, got {kind!r}"
+            f"power-sweep kind must be one of {sorted(_SWEEPS)}, got {kind!r}"
         )
+    stream, chain_name, curve = _SWEEPS[kind]
     grid = cfg.sweep.grid()
-    rates = _true_sweep_rates(cfg, kind, grid)
-    chain = cfg.chains["visible" if kind == "noise_vis" else "telecom"]
+    curves = predict_noise_curves(cfg.converter, alpha_n_visible=cfg.alpha_n_visible)
+    rates = np.asarray(getattr(curves, curve)(grid))
     fraction = 1.0
     if kind == "noise_vis":
         fraction = visible_in_band_fraction(cfg)
         rates = rates / fraction  # neighbors leak through the bandpass
-    base = counting.derive_seed(seed, _STREAM_SWEEP[kind])
-    records = counting.simulate_sweep(rates, chain, base)
+    base = counting.derive_seed(seed, stream)
+    records = counting.simulate_sweep(rates, cfg.chains[chain_name], base)
     return dataio.write_counts_csv(
         grid, records, out_dir / f"sweep_{kind}.csv",
         metadata={"seed": seed, "kind": kind, "in_band_fraction": fraction,
@@ -220,29 +208,21 @@ def simulate_power_sweep(cfg: RunConfig, seed: int, out_dir: Path, kind: str) ->
 
 
 def sweep_from_counts(path: Path, cfg: RunConfig) -> PowerSweep:
-    """Normalize a raw counts file back to waveguide-output rates."""
-    pump_w, counts, durations, seeds, meta = dataio.read_counts_csv(path)
+    """Normalize a raw counts file back to waveguide-output rates, keeping
+    the in-band fraction recorded in its sidecar."""
+    pump_w, counts, durations, _, meta = dataio.read_counts_csv(path)
     kind = meta.get("kind")
-    if kind not in _STREAM_SWEEP:
+    if kind not in _SWEEPS:
         raise DataFormatError(
             f"{path}: sidecar does not identify a noise sweep kind (got {kind!r})"
         )
-    chain = cfg.chains["visible" if kind == "noise_vis" else "telecom"]
-    transmission = counting.chain_transmission(chain)
-    fraction = float(meta.get("in_band_fraction", 1.0))
-    values, sigmas = [], []
-    for c, t in zip(counts, durations):
-        record = counting.CountRecord(counts=int(c), duration_s=float(t), seed=0)
-        normalized = counting.normalize_to_waveguide(record, chain)
-        rate, sigma = normalized.rate_hz, normalized.sigma_hz
-        if kind == "noise_vis":
-            rate = counting.visible_band_fraction_correction(rate, fraction)
-            sigma *= fraction
-        # one-count floor keeps weights finite when a bin is empty
-        sigma = max(sigma, fraction / float(t) / transmission)
-        values.append(rate)
-        sigmas.append(sigma)
-    return PowerSweep(pump_w=pump_w, value=np.array(values), sigma=np.array(sigmas), kind=kind)
+    chain = cfg.chains[_SWEEPS[kind][1]]
+    fraction = meta.get("in_band_fraction", 1.0)
+    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
+        raise DataFormatError(
+            f"{dataio.sidecar_path(path)}: in_band_fraction is not a number: {fraction!r}")
+    rate, sigma = counting.normalize_counts(counts, durations, chain, in_band_fraction=fraction)
+    return PowerSweep(pump_w=pump_w, value=rate, sigma=sigma, kind=kind)
 
 
 def run_fit_efficiency(
@@ -288,68 +268,51 @@ def run_fit_noise(
     params = cfg.converter
     shape_covariance = None
     if efficiency_fit is not None:
-        p = efficiency_fit["parameters"]
-        params = replace(params, eta_max_int=p["eta_max_int"],
-                         eta_max_ext=p["eta_max_ext"], eta_n=p["eta_n"])
+        params = dataio.apply_efficiency_fit(params, efficiency_fit)
         if efficiency_fit.get("parameter_order") == ["eta_max_int", "eta_max_ext", "eta_n"]:
             shape_covariance = np.asarray(efficiency_fit.get("covariance"), dtype=float)
+    length = params.length_cm
 
+    # one row per input: name suffix, message label, residual file tag,
+    # path, required sweep kind, fit, model at the fitted coefficient.
+    # On-peak telecom data carries SFG suppression, so the linear fit
+    # refuses it rather than silently underestimate the coefficient.
+    blocks = (
+        ("tele", "telecom", "detuned", detuned_path, "noise_tele_detuned",
+         lambda sweep: fit_alpha_linear(sweep, length, n_points=n_points),
+         lambda sweep, a: a * sweep.pump_w * length),
+        ("vis", "visible", "visible", visible_path, "noise_vis",
+         lambda sweep: fit_alpha_visible(sweep, params, shape_covariance=shape_covariance),
+         lambda sweep, a: a * (sweep.pump_w * length
+                               * np.asarray(converter.dip_depth(params, sweep.pump_w)))),
+    )
     names, values, sigmas, variances = [], {}, {}, []
     digests = {}
-    extras: dict = {"length_cm": params.length_cm}
-    converged = True
+    extras: dict = {"length_cm": length}
     messages = []
-    iterations = 0
-    points = 0
-
+    converged, iterations, points = True, 0, 0
+    for suffix, label, tag, path, expected, fit_sweep, model in blocks:
+        if path is None:
+            continue
+        sweep = sweep_from_counts(Path(path), cfg)
+        if sweep.kind != expected:
+            raise DataFormatError(f"{path}: expected a {expected} sweep, got {sweep.kind!r}")
+        fit = fit_sweep(sweep)
+        name = f"alpha_n_{suffix}"
+        names.append(name)
+        values[name] = fit.values["alpha_n"]
+        sigmas[name] = fit.sigmas["alpha_n"]
+        variances.append(fit.covariance[0, 0])
+        digests[str(path)] = dataio.sha256_digest(path)
+        extras[f"chi2_reduced_{suffix}"] = fit.chi2_reduced
+        converged &= fit.converged
+        messages.append(f"{label}: {fit.message}")
+        iterations += fit.n_iterations
+        points += len(sweep)
+        dataio.write_residual_csv(out_dir / f"residuals_noise_{tag}.csv", sweep.pump_w,
+                                  sweep.value, model(sweep, values[name]), sweep.sigma)
     if detuned_path is not None:
-        sweep = sweep_from_counts(Path(detuned_path), cfg)
-        if sweep.kind != "noise_tele_detuned":
-            # on-peak data carries SFG suppression: a linear fit would
-            # silently underestimate the coefficient
-            raise DataFormatError(
-                f"{detuned_path}: expected a noise_tele_detuned sweep for the "
-                f"linear fit, got {sweep.kind!r}"
-            )
-        fit = fit_alpha_linear(sweep, params.length_cm, n_points=n_points)
-        names.append("alpha_n_tele")
-        values["alpha_n_tele"] = fit.values["alpha_n"]
-        sigmas["alpha_n_tele"] = fit.sigmas["alpha_n"]
-        variances.append(fit.covariance[0, 0])
-        digests[str(detuned_path)] = dataio.sha256_digest(detuned_path)
-        extras["chi2_reduced_tele"] = fit.chi2_reduced
         extras["n_points_tele"] = n_points
-        converged &= fit.converged
-        messages.append(f"telecom: {fit.message}")
-        iterations += fit.n_iterations
-        points += len(sweep)
-        model = values["alpha_n_tele"] * sweep.pump_w * params.length_cm
-        dataio.write_residual_csv(out_dir / "residuals_noise_detuned.csv",
-                                  sweep.pump_w, sweep.value, model, sweep.sigma)
-
-    if visible_path is not None:
-        sweep = sweep_from_counts(Path(visible_path), cfg)
-        if sweep.kind != "noise_vis":
-            raise DataFormatError(
-                f"{visible_path}: expected a noise_vis sweep, got {sweep.kind!r}"
-            )
-        fit = fit_alpha_visible(sweep, params, shape_covariance=shape_covariance)
-        names.append("alpha_n_vis")
-        values["alpha_n_vis"] = fit.values["alpha_n"]
-        sigmas["alpha_n_vis"] = fit.sigmas["alpha_n"]
-        variances.append(fit.covariance[0, 0])
-        digests[str(visible_path)] = dataio.sha256_digest(visible_path)
-        extras["chi2_reduced_vis"] = fit.chi2_reduced
-        converged &= fit.converged
-        messages.append(f"visible: {fit.message}")
-        iterations += fit.n_iterations
-        points += len(sweep)
-        shape = sweep.pump_w * params.length_cm * np.asarray(
-            converter.dip_depth(params, sweep.pump_w)
-        )
-        dataio.write_residual_csv(out_dir / "residuals_noise_visible.csv",
-                                  sweep.pump_w, sweep.value,
-                                  values["alpha_n_vis"] * shape, sweep.sigma)
 
     result = FitResult(
         names=names,

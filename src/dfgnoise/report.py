@@ -12,6 +12,7 @@ from dataclasses import replace
 
 from . import converter
 from .config import RunConfig
+from .dataio import apply_efficiency_fit
 
 __all__ = ["build_report"]
 
@@ -40,14 +41,8 @@ def build_report(
     eff_sig = {}
     noise_sig = {}
     if efficiency_fit is not None:
-        p = efficiency_fit["parameters"]
+        params = apply_efficiency_fit(params, efficiency_fit)
         eff_sig = efficiency_fit.get("sigmas", {})
-        params = replace(
-            params,
-            eta_max_int=p["eta_max_int"],
-            eta_max_ext=p["eta_max_ext"],
-            eta_n=p["eta_n"],
-        )
     if noise_fit is not None:
         if "alpha_n_tele" in noise_fit.get("parameters", {}):
             params = replace(params, alpha_n=noise_fit["parameters"]["alpha_n_tele"])

@@ -81,6 +81,12 @@ class SfgMode:
                 f"mode {self.label}: relative_strength must be in [0, 1]"
             )
 
+    @property
+    def fwhm_peak_nm(self) -> float:
+        """Width of the visible peak partnering the dip: energy conservation
+        maps the telecom width by (lambda_vis / lambda_tele)^2."""
+        return self.fwhm_dip_nm * (self.lambda_vis_nm / self.lambda_tele_nm) ** 2
+
 
 def sfg_mode_from_telecom(
     label: str,
@@ -174,10 +180,10 @@ class FilterProfile:
 
     def transmission(self, wavelength_nm):
         """Transmission at the given wavelengths, peak value at the center."""
-        d = np.asarray(wavelength_nm, dtype=float) - self.center_nm
         if self.shape == "gaussian":
-            t = np.exp(-4.0 * math.log(2.0) * (d / self.fwhm_nm) ** 2)
+            t = gaussian_profile(wavelength_nm, self.center_nm, self.fwhm_nm)
         else:
+            d = np.asarray(wavelength_nm, dtype=float) - self.center_nm
             t = (np.abs(d) <= self.fwhm_nm / 2.0).astype(float)
         return self.peak_transmission * t
 
@@ -247,11 +253,6 @@ def telecom_spectrum(
     return SpectralScan(wavelength_nm=grid, rate_hz=np.clip(rate, 0.0, None))
 
 
-def _visible_peak_fwhm(mode: SfgMode) -> float:
-    # energy conservation maps telecom width to visible width by (lv/lt)^2
-    return mode.fwhm_dip_nm * (mode.lambda_vis_nm / mode.lambda_tele_nm) ** 2
-
-
 def visible_spectrum(
     params: converter.ConverterParams,
     modes: list[SfgMode],
@@ -283,7 +284,7 @@ def visible_spectrum(
             * mode.fwhm_dip_nm
             * GAUSSIAN_AREA_FACTOR
         )
-        fwhm_vis = _visible_peak_fwhm(mode)
+        fwhm_vis = mode.fwhm_peak_nm
         amplitude = removed_area / (fwhm_vis * GAUSSIAN_AREA_FACTOR)
         if collection is not None:
             amplitude *= collection.get(mode.label, 1.0)
@@ -294,10 +295,7 @@ def visible_spectrum(
 def _filter_kernel(profile: FilterProfile, step_nm: float) -> np.ndarray:
     half = int(math.ceil(_KERNEL_CUTOFF_FWHM * profile.fwhm_nm / step_nm))
     offsets = np.arange(-half, half + 1) * step_nm
-    if profile.shape == "gaussian":
-        k = gaussian_profile(offsets, 0.0, profile.fwhm_nm)
-    else:
-        k = (np.abs(offsets) <= profile.fwhm_nm / 2.0).astype(float)
+    k = replace(profile, center_nm=0.0, peak_transmission=1.0).transmission(offsets)
     k /= k.sum() * step_nm  # unit area
     return k * profile.peak_transmission
 
@@ -319,13 +317,7 @@ def convolve_with_filter(scan: SpectralScan, profile: FilterProfile) -> Spectral
     half = (len(kernel) - 1) // 2
     padded = np.pad(scan.rate_hz, half, mode="edge")
     out = np.convolve(padded, kernel, mode="valid") * scan.step_nm
-    return SpectralScan(
-        wavelength_nm=scan.wavelength_nm,
-        rate_hz=np.clip(out, 0.0, None),
-        filter_fwhm_nm=profile.fwhm_nm,
-        step_nm=scan.step_nm,
-        integration_time_s=scan.integration_time_s,
-    )
+    return replace(scan, rate_hz=np.clip(out, 0.0, None), filter_fwhm_nm=profile.fwhm_nm)
 
 
 def deconvolve_gaussian(observed_fwhm: float, filter_fwhm: float) -> float:

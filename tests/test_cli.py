@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dfgnoise
 from dfgnoise import cli, dataio
 from dfgnoise.config import write_template
+from dfgnoise.errors import DataFormatError
 
 
 def run(*argv):
@@ -168,6 +173,69 @@ def test_fit_reproducible_json(outdir, tmp_path):
     assert (first / "fit_efficiency.json").read_bytes() == (second / "fit_efficiency.json").read_bytes()
 
 
+def test_fit_efficiency_nan_row_is_bad_data(outdir, capsys):
+    # a NaN sigma used to pass the positivity check and surface as exit 4
+    assert run("simulate", "efficiency", "--out", str(outdir)) == 0
+    path = outdir / "efficiency_int.csv"
+    lines = path.read_text().splitlines()
+    pump, value, _ = lines[3].split(",")
+    lines[3] = f"{pump},{value},nan"
+    path.write_text("\n".join(lines) + "\n")
+    code = run("fit", "efficiency", "--internal", str(path),
+               "--external", str(outdir / "efficiency_ext.csv"), "--out", str(outdir))
+    assert code == cli.EXIT_DATA
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", ['{"kind": "noise_vis",',
+                                     '{"kind": "noise_vis", "in_band_fraction": "most"}'])
+def test_corrupt_counts_sidecar_exit_code(outdir, corrupt, capsys):
+    assert run("simulate", "power-sweep", "--kind", "noise_vis", "--out", str(outdir)) == 0
+    dataio.sidecar_path(outdir / "sweep_noise_vis.csv").write_text(corrupt)
+    code = run("fit", "noise", "--visible", str(outdir / "sweep_noise_vis.csv"),
+               "--out", str(outdir))
+    assert code == cli.EXIT_DATA
+    assert "sweep_noise_vis.meta.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what, csv_name", [
+    ("telecom-spectrum", "telecom_spectrum.csv"),
+    ("efficiency", "efficiency_int.csv"),
+])
+@pytest.mark.parametrize("corrupt", [b'{"seed": 1', b"[1, 2]", b"\xff\xfe"])
+def test_corrupt_scan_and_sweep_sidecars_are_data_errors(outdir, what, csv_name, corrupt):
+    # no command reads these sidecars back; the readers raise the error the
+    # CLI maps to exit code 3
+    assert run("simulate", what, "--out", str(outdir)) == 0
+    dataio.sidecar_path(outdir / csv_name).write_bytes(corrupt)
+    reader = dataio.read_scan_csv if what == "telecom-spectrum" else dataio.read_sweep_csv
+    with pytest.raises(DataFormatError):
+        reader(outdir / csv_name)
+
+
+@pytest.mark.parametrize("broken", ["missing", "string"])
+@pytest.mark.parametrize("command", ["fit-noise", "report"])
+def test_efficiency_fit_missing_key_exit_code(outdir, command, broken, capsys):
+    assert run("simulate", "efficiency", "--out", str(outdir)) == 0
+    assert run("fit", "efficiency", "--internal", str(outdir / "efficiency_int.csv"),
+               "--external", str(outdir / "efficiency_ext.csv"), "--out", str(outdir)) == 0
+    fit_path = outdir / "fit_efficiency.json"
+    payload = json.loads(fit_path.read_text())
+    if broken == "missing":
+        del payload["parameters"]["eta_max_int"]
+    else:
+        payload["parameters"]["eta_max_int"] = "0.67"
+    fit_path.write_text(json.dumps(payload))
+    if command == "report":
+        code = run("report", "--efficiency-fit", str(fit_path), "--out", str(outdir))
+    else:
+        assert run("simulate", "power-sweep", "--kind", "noise_vis", "--out", str(outdir)) == 0
+        code = run("fit", "noise", "--visible", str(outdir / "sweep_noise_vis.csv"),
+                   "--efficiency-fit", str(fit_path), "--out", str(outdir))
+    assert code == cli.EXIT_DATA
+    assert "parameters.eta_max_int" in capsys.readouterr().err
+
+
 def test_fit_nonconvergence_exit_code(outdir, monkeypatch):
     from dfgnoise import pipelines
     from dfgnoise.fitting import FitResult
@@ -244,3 +312,13 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         run("simulate", "warp-drive")
     assert excinfo.value.code == cli.EXIT_USAGE
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(dfgnoise.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import dfgnoise.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dfgnoise import converter
-from dfgnoise.converter import ConverterParams, WavelengthTriple
+from dfgnoise.converter import ConverterParams
 from dfgnoise.errors import ParameterError
 
 
@@ -54,6 +54,12 @@ def test_closed_form_matches_quadrature(params):
 def test_quadrature_rejects_too_few_steps(params):
     with pytest.raises(ParameterError):
         converter.telecom_noise_rate_quadrature(params, 0.1, n_steps=1)
+
+
+def test_quadrature_rejects_odd_steps(params):
+    # composite Simpson needs an even number of intervals
+    with pytest.raises(ParameterError):
+        converter.telecom_noise_rate_quadrature(params, 0.1, n_steps=1001)
 
 
 # ------------------------------------------------------ efficiency curve
@@ -232,17 +238,6 @@ def test_partner_wavelength_rejects_nonpositive():
         converter.sfg_partner_wavelength(-930.0, 1541.0)
     with pytest.raises(ParameterError):
         converter.telecom_partner_wavelength(930.0, 931.0)
-
-
-def test_wavelength_triple_accepts_consistent():
-    WavelengthTriple(580.0, 930.0, 1541.0)
-
-
-def test_wavelength_triple_rejects_inconsistent():
-    with pytest.raises(ParameterError):
-        WavelengthTriple(585.0, 930.0, 1541.0)
-    with pytest.raises(ParameterError):
-        WavelengthTriple(930.0, 580.0, 1541.0)
 
 
 # ------------------------------------------------------ bandwidth bookkeeping

@@ -1,5 +1,7 @@
 """Tests for the detection-chain Monte Carlo and its inverse."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,6 @@ def test_normalize_reference_example():
     normalized = counting.normalize_to_waveguide(record, TELECOM)
     assert normalized.rate_hz == pytest.approx(5000.0, rel=1e-12)
     assert normalized.sigma_hz == pytest.approx(np.sqrt(4900.0) / 10.0 / 0.03, rel=1e-12)
-    assert not normalized.is_negative
 
 
 def test_normalize_dark_only_gives_zero():
@@ -95,9 +96,47 @@ def test_normalize_dark_only_gives_zero():
 
 
 def test_normalize_flags_negative():
+    # below the dark level the central value goes negative rather than clipping
     record = CountRecord(counts=3000, duration_s=10.0, seed=0)
     normalized = counting.normalize_to_waveguide(record, TELECOM)
-    assert normalized.is_negative
+    assert normalized.rate_hz == pytest.approx((300.0 - 340.0) / 0.03, rel=1e-12)
+
+
+def test_normalize_counts_matches_per_point_arithmetic():
+    # the array path must reproduce the per-point formulas bit for bit
+    counts = np.array([0, 1, 3000, 4900, 123456])
+    durations = np.array([10.0, 10.0, 10.0, 10.0, 1.0])
+    fraction = 0.77
+    batch = counting.normalize_counts(counts, durations, TELECOM, in_band_fraction=fraction)
+    transmission = counting.chain_transmission(TELECOM)
+    for i, (c, t) in enumerate(zip(counts.tolist(), durations.tolist())):
+        rate = (c / t - 340.0) / transmission * fraction
+        sigma = max(math.sqrt(c) / t / transmission * fraction, fraction / t / transmission)
+        assert batch.rate_hz[i] == rate
+        assert batch.sigma_hz[i] == sigma
+
+
+def test_simulate_sweep_matches_per_point_draws():
+    rates = [0.0, 1.0e3, 2.0e4, 5.0e5]
+    expected = [counting.simulate_counts(r, TELECOM, counting.derive_seed(5, i))
+                for i, r in enumerate(rates)]
+    assert counting.simulate_sweep(rates, TELECOM, base_seed=5) == expected
+
+
+def test_normalize_sigma_floor_is_one_count():
+    # an empty bin keeps the uncertainty of a single count, never zero
+    empty = counting.normalize_to_waveguide(CountRecord(0, 10.0, 0), TELECOM)
+    single = counting.normalize_to_waveguide(CountRecord(1, 10.0, 0), TELECOM)
+    assert empty.sigma_hz == single.sigma_hz == pytest.approx(1.0 / 10.0 / 0.03)
+
+
+def test_expected_counts_array_matches_scalar():
+    rates = np.array([0.0, 5000.0, 2.0e4])
+    batch = counting.expected_counts(rates, TELECOM, 10.0)
+    assert [counting.expected_counts(float(r), TELECOM, 10.0) for r in rates] == list(batch)
+    assert batch[1] == pytest.approx(4900.0)
+    with pytest.raises(ParameterError):
+        counting.expected_counts(np.array([1.0, -1.0]), TELECOM, 10.0)
 
 
 def test_round_trip_unbiased():
@@ -125,12 +164,15 @@ def test_reported_sigma_matches_spread():
 
 
 def test_band_fraction_correction():
-    assert counting.visible_band_fraction_correction(1000.0, 0.77) == pytest.approx(770.0)
-    assert counting.visible_band_fraction_correction(42.0, 1.0) == 42.0
+    # 4900 counts in 10 s through 3% with 340 Hz dark: 5 kHz at the waveguide
+    full = counting.normalize_counts(4900, 10.0, TELECOM)
+    part = counting.normalize_counts(4900, 10.0, TELECOM, in_band_fraction=0.77)
+    assert part.rate_hz == pytest.approx(0.77 * full.rate_hz, rel=1e-12)
+    assert part.sigma_hz == pytest.approx(0.77 * full.sigma_hz, rel=1e-12)
     with pytest.raises(ParameterError):
-        counting.visible_band_fraction_correction(1000.0, 0.0)
+        counting.normalize_counts(4900, 10.0, TELECOM, in_band_fraction=0.0)
     with pytest.raises(ParameterError):
-        counting.visible_band_fraction_correction(1000.0, 1.5)
+        counting.normalize_counts(4900, 10.0, TELECOM, in_band_fraction=1.5)
 
 
 def test_derive_seed_stable_and_distinct():

@@ -214,6 +214,19 @@ def test_jacobian_matches_central_differences():
         assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-9)
 
 
+def test_sigmoid_finite_and_monotone_far_out():
+    # the exp argument is clamped, so no OverflowError at large negative u
+    from dfgnoise.fitting import _sigmoid
+
+    u = [-1000.0, -709.5, -30.0, 0.0, 30.0, 1000.0]
+    values = [_sigmoid(x) for x in u]
+    assert all(np.isfinite(values))
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert values == sorted(values)
+    assert values[0] < values[-1] == 1.0
+    assert _sigmoid(0.0) == 0.5
+
+
 # ------------------------------------------------------------- alpha fits
 
 def test_alpha_linear_exact_recovery():
@@ -284,6 +297,13 @@ def test_predicted_onpeak_to_detuned_ratio_at_full_power():
     assert ratio == pytest.approx(1.0 - 0.40478302665, abs=5e-4)
 
 
+def test_predicted_curves_without_efficiency_maximum():
+    # eta_n = 0 is a valid device: no conversion, no suppression, no peak
+    curves = predict_noise_curves(ConverterParams(4.0, 0.67, 0.46, 0.0, 129e3, 25e9))
+    assert curves.peak_pump_w == float("inf")
+    assert curves.telecom_onpeak(0.44) == curves.telecom_detuned(0.44)
+
+
 def test_quadratic_overestimates_far_outside_validity():
     curves = predict_noise_curves(PARAMS, alpha_n_visible=391e3)
     assert curves.visible_quadratic(0.44) / curves.visible(0.44) > 1.25
@@ -298,3 +318,12 @@ def test_power_sweep_validation():
         PowerSweep([0.1, 0.2], [1.0, 2.0], [0.1, 0.0], "noise_vis")
     with pytest.raises(ParameterError):
         PowerSweep([0.1, 0.2], [1.0, 2.0], [0.1, 0.1], "mystery")
+
+
+@pytest.mark.parametrize("column", ["pump_w", "value", "sigma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_power_sweep_rejects_non_finite(column, bad):
+    data = {"pump_w": [0.1, 0.2], "value": [1.0, 2.0], "sigma": [0.1, 0.1]}
+    data[column] = [data[column][0], bad]
+    with pytest.raises(ParameterError, match="finite"):
+        PowerSweep(data["pump_w"], data["value"], data["sigma"], "noise_vis")
