@@ -25,6 +25,14 @@ EXIT_NO_CONVERGENCE = 4
 _SIMULATE_KINDS = ("efficiency", "telecom-spectrum", "visible-spectrum", "power-sweep")
 
 
+def _seed(text: str) -> int:
+    """``--seed`` value: a non-negative integer, as ``seed`` in the config."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfgnoise",
@@ -36,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", metavar="PATH", default=None,
                        help="YAML run configuration (default: built-in reference device)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the configured RNG seed")
         p.add_argument("--out", metavar="DIR", default=None,
                        help="output directory (default: from config)")

@@ -1,14 +1,18 @@
 """Run configuration: schema, validation and the reference device preset.
 
-A run is described by one YAML file.  Validation is strict: unknown keys
-are rejected by name, every numeric field is range-checked, and all
-problems found are reported together.  :data:`DEFAULT_CONFIG_YAML` holds
-the preset for the characterized reference device and doubles as the
-template emitted by ``validate-config --write-template``.
+A run is described by one YAML file whose layout is declared once, in
+the schema table :data:`_SCHEMA`.  Validation is strict: unknown keys
+are rejected by name, numbers must be finite, every numeric field is
+range-checked, and all problems found are reported together.
+:data:`DEFAULT_CONFIG_YAML` holds the preset for the characterized
+reference device and doubles as the template emitted by
+``validate-config --write-template``.
 """
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -159,300 +163,199 @@ class RunConfig:
     source: str = field(default="<builtin>")
 
 
-class _Validator:
-    """Accumulates field-level problems so they can be reported together."""
+@dataclass(frozen=True)
+class _Optional:
+    """Schema marker: the key may be left out."""
 
-    def __init__(self):
-        self.errors: list[str] = []
+    spec: object
 
-    def fail(self, msg: str) -> None:
-        self.errors.append(msg)
 
-    def mapping(self, obj, path: str, allowed: set[str], required: set[str]) -> dict:
-        if not isinstance(obj, dict):
-            self.fail(f"{path}: expected a mapping, got {type(obj).__name__}")
-            return {}
-        for key in obj:
-            if key not in allowed:
-                self.fail(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
-        for key in required:
-            if key not in obj:
-                self.fail(f"{self._at(path, key)}: missing required key")
-        return obj
+@dataclass(frozen=True)
+class _Section:
+    """Schema node: a mapping whose values, once all parsed, build ``make(**values)``."""
 
-    @staticmethod
-    def _at(path: str, key: str) -> str:
-        return f"{path}.{key}" if path else key
+    make: Callable
+    fields: dict
 
-    def number(self, obj: dict, key: str, path: str, default=None) -> float:
-        if key not in obj:
-            return default
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(
-                f"{self._at(path, key)}: expected a number, got "
-                f"{type(value).__name__} ({value!r})"
-            )
-            return default if default is not None else 0.0
+
+def _fail(errors: list[str], message: str) -> None:
+    errors.append(message)
+    return None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _clean(values) -> bool:
+    """True for a walked mapping in which every value parsed."""
+    return values is not None and None not in values.values()
+
+
+def _build(errors: list[str], path: str, make: Callable, values, *args):
+    """``make(*args, **values)`` from cleanly parsed values, else None; the
+    object's own error is reported under ``path``."""
+    if not _clean(values) or None in args:
+        return None
+    try:
+        return make(*args, **values)
+    except DfgNoiseError as exc:
+        return _fail(errors, f"{path}: {exc}")
+
+
+def _walk(value, spec, path: str, errors: list[str]):
+    """``value`` checked against the schema node ``spec`` and returned typed.
+
+    Every problem goes to ``errors`` under its dotted path, and a part that
+    failed comes back as None.  A mapping comes back with the schema's keys
+    in schema order (absent optional keys left out), so a section parsed
+    cleanly when none of its values is None.
+    """
+    if isinstance(spec, _Section):
+        return _build(errors, path, spec.make, _walk(value, spec.fields, path, errors))
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            return _fail(errors, f"{path}: expected a mapping, got {type(value).__name__}")
+        at = (lambda key: f"{path}.{key}") if path else str
+        errors.extend(f"unknown key '{at(key)}'" for key in value if key not in spec)
+        out = {}
+        for key, sub in spec.items():
+            if key in value:
+                sub = sub.spec if isinstance(sub, _Optional) else sub
+                out[key] = _walk(value[key], sub, at(key), errors)
+            elif not isinstance(sub, _Optional):
+                out[key] = _fail(errors, f"{at(key)}: missing required key")
+        return out
+    if isinstance(spec, list):  # one entry: the schema of every list item
+        if not isinstance(value, list) or not value:
+            return _fail(errors, f"{path}: expected a non-empty list")
+        return [_walk(item, spec[0], f"{path}[{i}]", errors) for i, item in enumerate(value)]
+    if spec is float:
+        if not _is_number(value):
+            return _fail(errors, f"{path}: expected a number, got {type(value).__name__} ({value!r})")
+        if not abs(value) <= sys.float_info.max:  # NaN, +-inf and ints beyond float range
+            return _fail(errors, f"{path}: expected a finite number")
         return float(value)
-
-    def integer(self, obj: dict, key: str, path: str, default=None) -> int:
-        if key not in obj:
-            return default
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.fail(f"{self._at(path, key)}: expected an integer, got {value!r}")
-            return default if default is not None else 0
+    if spec in (int, str):
+        if isinstance(value, bool) or not isinstance(value, spec):
+            noun = "an integer" if spec is int else "a string"
+            return _fail(errors, f"{path}: expected {noun}, got {value!r}")
         return value
-
-    def text(self, obj: dict, key: str, path: str, default=None) -> str:
-        if key not in obj:
-            return default
-        value = obj[key]
-        if not isinstance(value, str):
-            self.fail(f"{self._at(path, key)}: expected a string, got {value!r}")
-            return default if default is not None else ""
-        return value
+    return spec(value, path, errors)
 
 
-def _parse_chain(v: _Validator, obj, path: str) -> MeasurementChain | None:
-    obj = v.mapping(
-        obj, path,
-        allowed={"transmissions", "detector_efficiency", "dark_rate_hz", "integration_time_s"},
-        required={"transmissions", "detector_efficiency", "dark_rate_hz", "integration_time_s"},
-    )
-    factors: list[tuple[str, float]] = []
-    raw = obj.get("transmissions", [])
-    if not isinstance(raw, list):
-        v.fail(f"{path}.transmissions: expected a list of [label, factor] pairs")
-        raw = []
-    for i, entry in enumerate(raw):
-        if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
-            v.fail(f"{path}.transmissions[{i}]: expected a [label, factor] pair")
-            continue
-        label, factor = entry
-        if isinstance(factor, bool) or not isinstance(factor, (int, float)):
-            v.fail(f"{path}.transmissions[{i}]: factor must be a number, got {factor!r}")
-            continue
-        factors.append((str(label), float(factor)))
-    try:
-        return MeasurementChain(
-            transmissions=tuple(factors),
-            detector_efficiency=v.number(obj, "detector_efficiency", path, 1.0),
-            dark_rate_hz=v.number(obj, "dark_rate_hz", path, 0.0),
-            integration_time_s=v.number(obj, "integration_time_s", path, 1.0),
-        )
-    except DfgNoiseError as exc:
-        v.fail(f"{path}: {exc}")
-        return None
+def _checked(kind: type, test: Callable, reason: str) -> Callable:
+    """Schema leaf: a ``kind`` value that must also pass ``test``; ``reason``,
+    formatted with the value, says why it did not."""
+    def check(value, path, errors):
+        value = _walk(value, kind, path, errors)
+        if value is None or test(value):
+            return value
+        return _fail(errors, f"{path}: {reason.format(value)}")
+    return check
 
 
-def _parse_filter(v: _Validator, obj, path: str) -> FilterProfile | None:
-    obj = v.mapping(
-        obj, path,
-        allowed={"shape", "fwhm_nm", "center_nm", "peak_transmission"},
-        required={"shape", "fwhm_nm"},
-    )
-    try:
-        return FilterProfile(
-            shape=v.text(obj, "shape", path, "gaussian"),
-            fwhm_nm=v.number(obj, "fwhm_nm", path, 1.0),
-            center_nm=v.number(obj, "center_nm", path, 0.0),
-            peak_transmission=v.number(obj, "peak_transmission", path, 1.0),
-        )
-    except DfgNoiseError as exc:
-        v.fail(f"{path}: {exc}")
-        return None
+def _transmissions(value, path: str, errors: list[str]):
+    """The ``[label, factor]`` pairs of a detection chain."""
+    if not isinstance(value, list):
+        return _fail(errors, f"{path}: expected a list of [label, factor] pairs")
+    pairs, before = [], len(errors)
+    for i, entry in enumerate(value):
+        item = f"{path}[{i}]"
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            errors.append(f"{item}: expected a [label, factor] pair")
+        elif not _is_number(entry[1]):
+            errors.append(f"{item}: factor must be a number, got {entry[1]!r}")
+        else:
+            pairs.append((str(entry[0]), _walk(entry[1], float, item, errors)))
+    return pairs if len(errors) == before else None
 
 
-def _parse_scan(v: _Validator, obj, path: str) -> ScanGrid | None:
-    obj = v.mapping(
-        obj, path,
-        allowed={"start_nm", "stop_nm", "step_nm"},
-        required={"start_nm", "stop_nm", "step_nm"},
-    )
-    try:
-        return ScanGrid(
-            start_nm=v.number(obj, "start_nm", path, 0.0),
-            stop_nm=v.number(obj, "stop_nm", path, 1.0),
-            step_nm=v.number(obj, "step_nm", path, 0.1),
-        )
-    except DfgNoiseError as exc:
-        v.fail(f"{path}: {exc}")
-        return None
+def _collection(value, path: str, errors: list[str]):
+    """A mode label -> collection efficiency table."""
+    if not isinstance(value, dict):
+        return _fail(errors, f"{path}: expected a mapping of mode label to efficiency")
+    bad = [label for label, eff in value.items() if not (_is_number(eff) and 0 <= eff <= 1)]
+    errors.extend(f"{path}.{label}: efficiency must be a number in [0, 1]" for label in bad)
+    return None if bad else {str(label): float(eff) for label, eff in value.items()}
+
+
+def _mode(pump_nm: float, lambda_vis_nm: float | None = None, **fields) -> SfgMode:
+    """A phase-matched mode; an explicit visible center must agree with the pump."""
+    mode = sfg_mode_from_telecom(lambda_pump_nm=pump_nm, **fields)
+    if lambda_vis_nm is not None:
+        mode = replace(mode, lambda_vis_nm=lambda_vis_nm)
+        check_mode_energy_conservation(mode, pump_nm)
+    return mode
+
+
+_SCAN = _Section(ScanGrid, {"start_nm": float, "stop_nm": float, "step_nm": float})
+_CHAIN = _Section(MeasurementChain, {"transmissions": _transmissions, "detector_efficiency": float,
+                                     "dark_rate_hz": float, "integration_time_s": float})
+_FILTER = _Section(FilterProfile, {"shape": str, "fwhm_nm": float, "center_nm": _Optional(float),
+                                   "peak_transmission": _Optional(float)})
+
+# The YAML layout, the one reference for every key: each maps to a type,
+# a nested section, a one-entry list or a checker.  Keys are required
+# unless marked _Optional.  device then noise list their keys in
+# ConverterParams field order, followed by the visible coefficient.
+_SCHEMA = {
+    "schema_version": _checked(
+        int, lambda version: version == SCHEMA_VERSION,
+        f"expected {SCHEMA_VERSION}, got {{}} "
+        f"(this toolkit only reads schema version {SCHEMA_VERSION})"),
+    "seed": _checked(int, lambda seed: seed >= 0, "must be non-negative"),
+    "output_dir": str,
+    "pump_wavelength_nm": _checked(float, lambda nm: nm > 0, "must be positive"),
+    "device": {"length_cm": float, "eta_max_int": float, "eta_max_ext": float,
+               "eta_n_per_w_cm2": float},
+    "noise": {"alpha_n_tele_hz_per_w_cm": float, "bandwidth_ref_hz": float,
+              "alpha_n_vis_hz_per_w_cm": _checked(float, lambda a: a >= 0, "must be non-negative")},
+    "modes": [{"label": str, "lambda_tele_nm": float, "lambda_vis_nm": _Optional(float),
+               "fwhm_sfg_nm": float, "fwhm_dip_nm": float, "relative_strength": float}],
+    "chains": {"telecom": _CHAIN, "visible": _CHAIN},
+    "collection": {"smf": _collection, "mmf": _collection},
+    "filters": {"tg": _FILTER, "bp": _FILTER,
+                "spectrometer_fwhm_nm": _checked(float, lambda w: w > 0, "must be positive")},
+    "scans": {"telecom": _SCAN, "visible": _SCAN},
+    "sweeps": _Section(SweepSettings, {"pump_min_w": float, "pump_max_w": float,
+                                       "n_points": int, "efficiency_noise_rel": float}),
+}
 
 
 def parse_config(raw: dict, source: str = "<dict>") -> RunConfig:
     """Validate a parsed YAML mapping and build a :class:`RunConfig`.
 
     Raises :class:`ConfigError` listing every problem found, each with
-    the dotted path of the offending key.
+    the dotted path of the offending key.  Objects are built only from
+    sections that parsed cleanly, so each problem is reported once.
     """
-    v = _Validator()
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be a mapping")
+    errors: list[str] = []
+    (version, seed, output_dir, pump_nm, device, noise, modes, chains,
+     collection, filters, scans, sweep) = _walk(raw, _SCHEMA, "", errors).values()
 
-    top_allowed = {
-        "schema_version", "seed", "output_dir", "pump_wavelength_nm", "device",
-        "noise", "modes", "chains", "collection", "filters", "scans", "sweeps",
-    }
-    v.mapping(raw, "", allowed=top_allowed, required=top_allowed)
+    params = alpha_vis = None
+    if device is not None and noise is not None:
+        *tele, alpha_vis = noise.values()
+        params = _build(errors, "device/noise", converter.ConverterParams, {},
+                        *device.values(), *tele)
+    if modes is not None:
+        modes = [_build(errors, f"modes[{i}]", _mode, entry, pump_nm)
+                 for i, entry in enumerate(modes)]
+        if None not in modes and _clean(collection):
+            known = {mode.label for mode in modes}
+            errors.extend(f"collection.{name}.{label}: no such mode in 'modes'"
+                          for name, table in collection.items()
+                          for label in table if label not in known)
 
-    schema_version = v.integer(raw, "schema_version", "", 0)
-    if schema_version not in (None, SCHEMA_VERSION):
-        v.fail(
-            f"schema_version: expected {SCHEMA_VERSION}, got {schema_version} "
-            "(this toolkit only reads schema version 1)"
-        )
-    seed = v.integer(raw, "seed", "", 0)
-    output_dir = v.text(raw, "output_dir", "", "runs")
-    pump_nm = v.number(raw, "pump_wavelength_nm", "", 930.0)
-
-    device = v.mapping(
-        raw.get("device", {}), "device",
-        allowed={"length_cm", "eta_max_int", "eta_max_ext", "eta_n_per_w_cm2"},
-        required={"length_cm", "eta_max_int", "eta_max_ext", "eta_n_per_w_cm2"},
-    )
-    noise = v.mapping(
-        raw.get("noise", {}), "noise",
-        allowed={"alpha_n_tele_hz_per_w_cm", "bandwidth_ref_hz", "alpha_n_vis_hz_per_w_cm"},
-        required={"alpha_n_tele_hz_per_w_cm", "bandwidth_ref_hz", "alpha_n_vis_hz_per_w_cm"},
-    )
-    params = None
-    try:
-        params = converter.ConverterParams(
-            length_cm=v.number(device, "length_cm", "device", 1.0),
-            eta_max_int=v.number(device, "eta_max_int", "device", 0.0),
-            eta_max_ext=v.number(device, "eta_max_ext", "device", 0.0),
-            eta_n=v.number(device, "eta_n_per_w_cm2", "device", 0.0),
-            alpha_n=v.number(noise, "alpha_n_tele_hz_per_w_cm", "noise", 0.0),
-            bandwidth_ref_hz=v.number(noise, "bandwidth_ref_hz", "noise", 1.0),
-        )
-    except DfgNoiseError as exc:
-        v.fail(f"device/noise: {exc}")
-    alpha_vis = v.number(noise, "alpha_n_vis_hz_per_w_cm", "noise", 0.0)
-    if alpha_vis is not None and alpha_vis < 0:
-        v.fail("noise.alpha_n_vis_hz_per_w_cm: must be non-negative")
-
-    modes: list[SfgMode] = []
-    raw_modes = raw.get("modes", [])
-    if not isinstance(raw_modes, list) or not raw_modes:
-        v.fail("modes: expected a non-empty list")
-        raw_modes = []
-    for i, entry in enumerate(raw_modes):
-        path = f"modes[{i}]"
-        entry = v.mapping(
-            entry, path,
-            allowed={"label", "lambda_tele_nm", "lambda_vis_nm", "fwhm_sfg_nm",
-                     "fwhm_dip_nm", "relative_strength"},
-            required={"label", "lambda_tele_nm", "fwhm_sfg_nm", "fwhm_dip_nm",
-                      "relative_strength"},
-        )
-        try:
-            mode = sfg_mode_from_telecom(
-                label=v.text(entry, "label", path, f"mode{i}"),
-                lambda_tele_nm=v.number(entry, "lambda_tele_nm", path, 1.0),
-                lambda_pump_nm=pump_nm,
-                fwhm_sfg_nm=v.number(entry, "fwhm_sfg_nm", path, 0.1),
-                fwhm_dip_nm=v.number(entry, "fwhm_dip_nm", path, 0.1),
-                relative_strength=v.number(entry, "relative_strength", path, 1.0),
-            )
-            explicit_vis = v.number(entry, "lambda_vis_nm", path, None)
-            if explicit_vis is not None:
-                mode = replace(mode, lambda_vis_nm=explicit_vis)
-                check_mode_energy_conservation(mode, pump_nm)
-            modes.append(mode)
-        except DfgNoiseError as exc:
-            v.fail(f"{path}: {exc}")
-
-    chains: dict[str, MeasurementChain] = {}
-    raw_chains = v.mapping(
-        raw.get("chains", {}), "chains",
-        allowed={"telecom", "visible"}, required={"telecom", "visible"},
-    )
-    for name in ("telecom", "visible"):
-        if name in raw_chains:
-            chain = _parse_chain(v, raw_chains[name], f"chains.{name}")
-            if chain is not None:
-                chains[name] = chain
-
-    collection: dict[str, dict[str, float]] = {}
-    raw_coll = v.mapping(
-        raw.get("collection", {}), "collection",
-        allowed={"smf", "mmf"}, required={"smf", "mmf"},
-    )
-    mode_labels = {m.label for m in modes}
-    for name in ("smf", "mmf"):
-        entry = raw_coll.get(name, {})
-        if not isinstance(entry, dict):
-            v.fail(f"collection.{name}: expected a mapping of mode label to efficiency")
-            continue
-        table: dict[str, float] = {}
-        for label, eff in entry.items():
-            if label not in mode_labels:
-                v.fail(f"collection.{name}.{label}: no such mode in 'modes'")
-            if isinstance(eff, bool) or not isinstance(eff, (int, float)) or not 0 <= eff <= 1:
-                v.fail(f"collection.{name}.{label}: efficiency must be a number in [0, 1]")
-                continue
-            table[str(label)] = float(eff)
-        collection[name] = table
-
-    raw_filters = v.mapping(
-        raw.get("filters", {}), "filters",
-        allowed={"tg", "bp", "spectrometer_fwhm_nm"},
-        required={"tg", "bp", "spectrometer_fwhm_nm"},
-    )
-    tg = _parse_filter(v, raw_filters.get("tg", {}), "filters.tg")
-    bp = _parse_filter(v, raw_filters.get("bp", {}), "filters.bp")
-    spectrometer_fwhm = v.number(raw_filters, "spectrometer_fwhm_nm", "filters", 0.13)
-    if spectrometer_fwhm is not None and spectrometer_fwhm <= 0:
-        v.fail("filters.spectrometer_fwhm_nm: must be positive")
-
-    raw_scans = v.mapping(
-        raw.get("scans", {}), "scans",
-        allowed={"telecom", "visible"}, required={"telecom", "visible"},
-    )
-    telecom_scan = _parse_scan(v, raw_scans.get("telecom", {}), "scans.telecom")
-    visible_scan = _parse_scan(v, raw_scans.get("visible", {}), "scans.visible")
-
-    raw_sweeps = v.mapping(
-        raw.get("sweeps", {}), "sweeps",
-        allowed={"pump_min_w", "pump_max_w", "n_points", "efficiency_noise_rel"},
-        required={"pump_min_w", "pump_max_w", "n_points", "efficiency_noise_rel"},
-    )
-    sweep = None
-    try:
-        sweep = SweepSettings(
-            pump_min_w=v.number(raw_sweeps, "pump_min_w", "sweeps", 0.0),
-            pump_max_w=v.number(raw_sweeps, "pump_max_w", "sweeps", 0.44),
-            n_points=v.integer(raw_sweeps, "n_points", "sweeps", 12),
-            efficiency_noise_rel=v.number(raw_sweeps, "efficiency_noise_rel", "sweeps", 0.0),
-        )
-    except DfgNoiseError as exc:
-        v.fail(f"sweeps: {exc}")
-
-    if v.errors:
-        listing = "\n".join(f"  - {e}" for e in v.errors)
+    if errors:
+        listing = "\n".join(f"  - {e}" for e in errors)
         raise ConfigError(f"invalid configuration ({source}):\n{listing}")
-
-    return RunConfig(
-        schema_version=schema_version,
-        seed=seed,
-        output_dir=output_dir,
-        pump_wavelength_nm=pump_nm,
-        converter=params,
-        alpha_n_visible=alpha_vis,
-        modes=modes,
-        chains=chains,
-        collection=collection,
-        tg_filter=tg,
-        bp_filter=bp,
-        spectrometer_fwhm_nm=spectrometer_fwhm,
-        telecom_scan=telecom_scan,
-        visible_scan=visible_scan,
-        sweep=sweep,
-        source=source,
-    )
+    # filters and scans list their keys in RunConfig field order
+    return RunConfig(version, seed, output_dir, pump_nm, params, alpha_vis, modes, chains,
+                     collection, *filters.values(), *scans.values(), sweep, source)
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +32,7 @@ __all__ = [
     "write_fit_json",
     "read_fit_json",
     "apply_efficiency_fit",
+    "efficiency_fit_covariance",
     "write_residual_csv",
     "sha256_digest",
     "sidecar_path",
@@ -51,8 +53,27 @@ def sha256_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def _is_finite(value) -> bool:
+    """A JSON number that is finite as a float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if _is_finite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict RFC 8259 JSON: NaN and infinities are written as null."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _read_json(path: Path) -> dict:
@@ -249,6 +270,10 @@ def read_fit_json(path: str | Path) -> dict:
     return _read_json(Path(path))
 
 
+# parameters of the shared efficiency fit, in its covariance order
+_EFFICIENCY_PARAMETERS = ["eta_max_int", "eta_max_ext", "eta_n"]
+
+
 def apply_efficiency_fit(params: ConverterParams, fit: dict) -> ConverterParams:
     """``params`` with the efficiencies and conversion parameter of a parsed
     efficiency-fit payload (see :func:`write_fit_json`) swapped in."""
@@ -256,14 +281,28 @@ def apply_efficiency_fit(params: ConverterParams, fit: dict) -> ConverterParams:
     if not isinstance(fitted, dict):
         fitted = {}
     values = {}
-    for key in ("eta_max_int", "eta_max_ext", "eta_n"):
+    for key in _EFFICIENCY_PARAMETERS:
         if key not in fitted:
             raise DataFormatError(f"efficiency fit lacks the key parameters.{key}")
-        if isinstance(fitted[key], bool) or not isinstance(fitted[key], (int, float)):
+        if not _is_finite(fitted[key]):
             raise DataFormatError(
-                f"efficiency fit: parameters.{key} is not a number: {fitted[key]!r}")
+                f"efficiency fit: parameters.{key} is not a finite number: {fitted[key]!r}")
         values[key] = fitted[key]
     return replace(params, **values)
+
+
+def efficiency_fit_covariance(fit: dict) -> np.ndarray | None:
+    """The 3x3 covariance of a parsed efficiency-fit payload, ordered
+    (eta_max_int, eta_max_ext, eta_n); None when the payload orders its
+    parameters differently."""
+    if fit.get("parameter_order") != _EFFICIENCY_PARAMETERS:
+        return None
+    rows = fit.get("covariance")
+    if not (isinstance(rows, list) and len(rows) == 3
+            and all(isinstance(row, list) and len(row) == 3 and all(map(_is_finite, row))
+                    for row in rows)):
+        raise DataFormatError("efficiency fit: covariance must be a finite 3x3 matrix")
+    return np.array(rows, dtype=float)
 
 
 def write_residual_csv(path: str | Path, pump_w, value, model, sigma) -> Path:

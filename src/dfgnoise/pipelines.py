@@ -269,8 +269,7 @@ def run_fit_noise(
     shape_covariance = None
     if efficiency_fit is not None:
         params = dataio.apply_efficiency_fit(params, efficiency_fit)
-        if efficiency_fit.get("parameter_order") == ["eta_max_int", "eta_max_ext", "eta_n"]:
-            shape_covariance = np.asarray(efficiency_fit.get("covariance"), dtype=float)
+        shape_covariance = dataio.efficiency_fit_covariance(efficiency_fit)
     length = params.length_cm
 
     # one row per input: name suffix, message label, residual file tag,

@@ -236,6 +236,28 @@ def test_efficiency_fit_missing_key_exit_code(outdir, command, broken, capsys):
     assert "parameters.eta_max_int" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("covariance", [
+    None,                                           # missing
+    "diag(1e-4, 1e-4, 4e-4)",                       # string
+    [[1e-4, 0, 0], [0, 1e-4], [0, 0, 4e-4]],        # ragged
+    [[1e-4, 0], [0, 1e-4]],                         # not 3x3
+])
+def test_efficiency_fit_malformed_covariance_exit_code(outdir, covariance, capsys):
+    fit = {
+        "parameter_order": ["eta_max_int", "eta_max_ext", "eta_n"],
+        "parameters": {"eta_max_int": 0.67, "eta_max_ext": 0.46, "eta_n": 0.63},
+    }
+    if covariance is not None:
+        fit["covariance"] = covariance
+    assert run("simulate", "power-sweep", "--kind", "noise_vis", "--out", str(outdir)) == 0
+    fit_path = outdir / "eff.json"
+    fit_path.write_text(json.dumps(fit))
+    code = run("fit", "noise", "--visible", str(outdir / "sweep_noise_vis.csv"),
+               "--efficiency-fit", str(fit_path), "--out", str(outdir))
+    assert code == cli.EXIT_DATA
+    assert "covariance must be a finite 3x3 matrix" in capsys.readouterr().err
+
+
 def test_fit_nonconvergence_exit_code(outdir, monkeypatch):
     from dfgnoise import pipelines
     from dfgnoise.fitting import FitResult
@@ -251,6 +273,31 @@ def test_fit_nonconvergence_exit_code(outdir, monkeypatch):
     code = run("fit", "efficiency", "--internal", "x.csv", "--external", "y.csv",
                "--out", str(outdir))
     assert code == cli.EXIT_NO_CONVERGENCE
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_chain_writes_strict_json(outdir):
+    # every emitted .json must be RFC 8259 JSON: no NaN or Infinity
+    assert run("simulate", "efficiency", "--out", str(outdir)) == 0
+    assert run("simulate", "telecom-spectrum", "--out", str(outdir)) == 0
+    for collection in ("smf", "mmf"):
+        assert run("simulate", "visible-spectrum", "--collection", collection,
+                   "--out", str(outdir)) == 0
+    for kind in ("noise_tele_detuned", "noise_tele_onpeak", "noise_vis"):
+        assert run("simulate", "power-sweep", "--kind", kind, "--out", str(outdir)) == 0
+    assert run("fit", "efficiency", "--internal", str(outdir / "efficiency_int.csv"),
+               "--external", str(outdir / "efficiency_ext.csv"), "--out", str(outdir)) == 0
+    assert run("fit", "noise", "--detuned", str(outdir / "sweep_noise_tele_detuned.csv"),
+               "--visible", str(outdir / "sweep_noise_vis.csv"),
+               "--efficiency-fit", str(outdir / "fit_efficiency.json"), "--out", str(outdir)) == 0
+    emitted = sorted(outdir.glob("*.json"))
+    assert len(emitted) == 10
+    for path in emitted:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert json.loads((outdir / "fit_noise.json").read_text())["chi2_reduced"] is None
 
 
 # ------------------------------------------------------------------- report
@@ -306,6 +353,13 @@ def test_validate_config_write_template(tmp_path):
     target = tmp_path / "new.yaml"
     assert run("validate-config", "--write-template", str(target)) == 0
     assert target.exists()
+
+
+def test_negative_seed_option_is_usage_error(outdir, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run("simulate", "efficiency", "--seed", "-1", "--out", str(outdir))
+    assert excinfo.value.code == cli.EXIT_USAGE
+    assert "--seed: must be non-negative" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

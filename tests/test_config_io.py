@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dfgnoise import dataio
+from dfgnoise import cli, dataio
 from dfgnoise.config import DEFAULT_CONFIG_YAML, default_config, load_config, parse_config, write_template
 from dfgnoise.counting import CountRecord
 from dfgnoise.errors import ConfigError, DataFormatError
@@ -116,6 +116,94 @@ def test_scan_grid_generation():
     assert grid[0] == pytest.approx(1520.0)
     assert grid[-1] == pytest.approx(1575.0)
     assert np.allclose(np.diff(grid), 0.1)
+
+
+def _mutated(path, value):
+    """The template with the key at ``path`` (a tuple) set to ``value``, or
+    deleted when ``value`` is ``...``."""
+    raw = _raw()
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is ...:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return raw
+
+
+# Each single mutation yields exactly one message, about the mutated key:
+# objects are only built from sections that parsed cleanly, so no
+# placeholder value adds a second, false message.
+@pytest.mark.parametrize("path, value, message", [
+    (("device", "eta_max_int"), "most of it",
+     "device.eta_max_int: expected a number, got str ('most of it')"),
+    (("device", "length_cm"), ..., "device.length_cm: missing required key"),
+    (("device", "lenght_cm"), 4.0, "unknown key 'device.lenght_cm'"),
+    (("device", "eta_max_int"), 1.4,
+     "device/noise: efficiencies must satisfy 0 <= eta_max_ext <= eta_max_int <= 1, "
+     "got ext=0.46, int=1.4"),
+    (("schema_version",), "1", "schema_version: expected an integer, got '1'"),
+    (("schema_version",), 99,
+     "schema_version: expected 1, got 99 (this toolkit only reads schema version 1)"),
+    (("seed",), -3, "seed: must be non-negative"),
+    (("pump_wavelength_nm",), 0.0, "pump_wavelength_nm: must be positive"),
+    (("noise", "alpha_n_vis_hz_per_w_cm"), -1.0,
+     "noise.alpha_n_vis_hz_per_w_cm: must be non-negative"),
+    (("modes",), [], "modes: expected a non-empty list"),
+    (("modes", 1, "label"), 5, "modes[1].label: expected a string, got 5"),
+    (("modes", 2), "TEM02", "modes[2]: expected a mapping, got str"),
+    (("chains", "telecom", "transmissions", 1), ["tg_filter"],
+     "chains.telecom.transmissions[1]: expected a [label, factor] pair"),
+    (("chains", "visible", "transmissions", 0), ["fiber_coupling", "high"],
+     "chains.visible.transmissions[0]: factor must be a number, got 'high'"),
+    (("chains", "visible", "transmissions", 0), ["fiber_coupling", float("nan")],
+     "chains.visible.transmissions[0]: expected a finite number"),
+    (("collection", "smf", "TEM99"), 0.5, "collection.smf.TEM99: no such mode in 'modes'"),
+    (("collection", "mmf", "TEM00"), 1.5,
+     "collection.mmf.TEM00: efficiency must be a number in [0, 1]"),
+    (("filters",), 5, "filters: expected a mapping, got int"),
+    (("filters", "tg", "shape"), "triangular",
+     "filters.tg: shape must be gaussian or rectangular, got 'triangular'"),
+    (("scans", "telecom", "stop_nm"), ..., "scans.telecom.stop_nm: missing required key"),
+    (("scans", "telecom", "step_nm"), float("nan"),
+     "scans.telecom.step_nm: expected a finite number"),
+    (("sweeps", "n_points"), 1, "sweeps: sweep n_points must be at least 2"),
+])
+def test_config_message_table(path, value, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(_mutated(path, value))
+    assert str(excinfo.value).splitlines() == ["invalid configuration (<dict>):", f"  - {message}"]
+
+
+def test_optional_keys_may_be_left_out():
+    raw = _raw()
+    del raw["filters"]["tg"]["center_nm"]
+    del raw["filters"]["tg"]["peak_transmission"]
+    cfg = parse_config(raw)
+    assert (cfg.tg_filter.center_nm, cfg.tg_filter.peak_transmission) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("path", [
+    ("scans", "telecom", "step_nm"),
+    ("device", "eta_n_per_w_cm2"),
+    ("chains", "telecom", "dark_rate_hz"),
+])
+@pytest.mark.parametrize("value, spelling", [
+    (float("nan"), ".nan"), (float("inf"), ".inf"), (float("-inf"), "-.inf")])
+def test_validate_config_rejects_non_finite(tmp_path, capsys, path, value, spelling):
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(_mutated(path, value)))
+    assert spelling in config.read_text()
+    assert cli.main(["validate-config", "--config", str(config)]) == cli.EXIT_DATA
+    assert f"{'.'.join(path)}: expected a finite number" in capsys.readouterr().err
+
+
+def test_validate_config_rejects_negative_seed(tmp_path, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text(DEFAULT_CONFIG_YAML.replace("seed: 20210412", "seed: -3"))
+    assert cli.main(["validate-config", "--config", str(config)]) == cli.EXIT_DATA
+    assert "seed: must be non-negative" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- round trips
