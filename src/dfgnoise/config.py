@@ -11,6 +11,7 @@ reference device and doubles as the template emitted by
 
 from __future__ import annotations
 
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -358,6 +359,19 @@ def parse_config(raw: dict, source: str = "<dict>") -> RunConfig:
                      collection, *filters.values(), *scans.values(), sweep, source)
 
 
+class _Loader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads YAML 1.2 floats: an exponent
+    without a dot or without a sign (``1e-1``, ``25e9``, ``1.0e9``) is a
+    string under YAML 1.1."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
+
+
 def load_config(path: str | Path | None) -> RunConfig:
     """Load and validate a YAML config file; ``None`` gives the built-in
     reference device preset."""
@@ -369,7 +383,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     return parse_config(raw, source=str(path))
@@ -377,7 +391,7 @@ def load_config(path: str | Path | None) -> RunConfig:
 
 def default_config() -> RunConfig:
     """The built-in reference device preset."""
-    return parse_config(yaml.safe_load(DEFAULT_CONFIG_YAML), source="<builtin>")
+    return parse_config(yaml.load(DEFAULT_CONFIG_YAML, Loader=_Loader), source="<builtin>")
 
 
 def write_template(path: str | Path) -> Path:

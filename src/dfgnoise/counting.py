@@ -28,7 +28,18 @@ __all__ = [
     "normalize_counts",
     "normalize_to_waveguide",
     "derive_seed",
+    "derive_seeds",
 ]
+
+# constants of numpy's SeedSequence (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+# for each pool word, the indices of the other three
+_OTHER_WORDS = [np.delete(np.arange(_POOL_SIZE), i) for i in range(_POOL_SIZE)]
 
 
 @dataclass(frozen=True)
@@ -104,17 +115,107 @@ def derive_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((int(base_seed), int(index))).generate_state(1)[0])
 
 
+def _int_words(value: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence splits an entropy integer into."""
+    if value < 0:
+        raise ParameterError(f"seeds must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` values of a SeedSequence hash constant, which
+    is multiplied by ``mult`` after each use, as a uint32 column."""
+    values = [init]
+    for _ in range(count - 1):
+        values.append(values[-1] * mult & _MASK32)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+def _seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy[:, j]).generate_state(n_words)`` for every
+    column j of an (L, n) uint32 array of entropy words, as an
+    (n_words, n) uint32 array.
+
+    This is numpy's documented algorithm: hash the words into a pool of
+    four, mix every pool word into every other, then hash the pool out.
+    The hash constants do not depend on the data, so the calls that read
+    the same pool word run as one array operation over their constants.
+    """
+    extra = max(len(entropy) - _POOL_SIZE, 0)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * extra + 1)
+    used = 0
+
+    def hashmix(value, calls):
+        # the next ``calls`` hashmix calls of SeedSequence, one output row each
+        nonlocal used
+        value = value ^ consts[used:used + calls]
+        value *= consts[used + 1:used + calls + 1]
+        used += calls
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[:len(entropy)] = entropy[:_POOL_SIZE]
+    pool = hashmix(pool, _POOL_SIZE)
+    for src, dst in enumerate(_OTHER_WORDS):
+        pool[dst] = mix(pool[dst], hashmix(pool[src], len(dst)))
+    for word in entropy[_POOL_SIZE:]:
+        pool = mix(pool, hashmix(word, _POOL_SIZE))
+
+    consts = _hash_constants(_INIT_B, _MULT_B, n_words + 1)
+    state = pool[np.arange(n_words) % _POOL_SIZE] ^ consts[:-1]
+    state *= consts[1:]
+    return state ^ (state >> _XSHIFT)
+
+
+def derive_seeds(base_seed: int, n: int) -> np.ndarray:
+    """``derive_seed(base_seed, i)`` for ``i`` in ``range(n)``, as one uint32
+    array computed in a single pass."""
+    base = _int_words(int(base_seed))
+    entropy = np.empty((len(base) + 1, n), dtype=np.uint32)
+    entropy[:-1] = np.array(base, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(n)
+    return _seed_sequence_state(entropy, 1)[0]
+
+
+class _SeedWords:
+    """A seed sequence that hands a bit generator precomputed seeding words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _poisson_draws(means, seeds: np.ndarray) -> list[int]:
+    """``default_rng(seed).poisson(mean)`` for each pair, with the PCG64
+    seeding words of every seed, ``SeedSequence(seed).generate_state(4,
+    uint64)``, computed as one array pass."""
+    from numpy.random import PCG64, Generator  # loaded on first draw, not at CLI start-up
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)  # bit generators take any registered seed sequence
+    # pairs of uint32 words read as little-endian uint64, as SeedSequence does
+    state = _seed_sequence_state(seeds[None], 8)
+    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return [int(Generator(PCG64(_SeedWords(w))).poisson(m)) for w, m in zip(words, means)]
+
+
 def expected_counts(true_rate_hz, chain: MeasurementChain, duration_s: float):
     """Poisson mean of the detected counts, (rate * chain transmission +
     dark rate) * time, for a scalar or an array of waveguide-output rates."""
     if np.any(np.asarray(true_rate_hz) < 0):
         raise ParameterError("true rate must be non-negative")
     return (true_rate_hz * chain_transmission(chain) + chain.dark_rate_hz) * duration_s
-
-
-def _draw(mean, seed: int, duration_s: float) -> CountRecord:
-    counts = np.random.default_rng(seed).poisson(mean)
-    return CountRecord(counts=int(counts), duration_s=duration_s, seed=int(seed))
 
 
 def simulate_counts(
@@ -126,7 +227,8 @@ def simulate_counts(
     """Draw detected counts for a given waveguide-output rate.  Identical
     seeds give identical counts."""
     t = chain.integration_time_s if duration_s is None else duration_s
-    return _draw(expected_counts(true_rate_hz, chain, t), seed, t)
+    counts = np.random.default_rng(seed).poisson(expected_counts(true_rate_hz, chain, t))
+    return CountRecord(counts=int(counts), duration_s=t, seed=int(seed))
 
 
 def simulate_sweep(
@@ -136,10 +238,13 @@ def simulate_sweep(
     duration_s: float | None = None,
 ) -> list[CountRecord]:
     """Counting results for a list of rates, one derived seed per point, so
-    the outcome is independent of evaluation order."""
+    the outcome is independent of evaluation order.  Point ``i`` equals
+    ``simulate_counts(rate_i, chain, derive_seed(base_seed, i))``."""
     t = chain.integration_time_s if duration_s is None else duration_s
     means = expected_counts(np.asarray(true_rates_hz, dtype=float), chain, t)
-    return [_draw(mean, derive_seed(base_seed, i), t) for i, mean in enumerate(means)]
+    seeds = derive_seeds(base_seed, len(means))
+    counts = _poisson_draws(means.tolist(), seeds)
+    return [CountRecord(c, t, s) for c, s in zip(counts, seeds.tolist())]
 
 
 def normalize_counts(

@@ -33,14 +33,23 @@ __all__ = [
     "read_fit_json",
     "apply_efficiency_fit",
     "efficiency_fit_covariance",
+    "noise_fit_coefficients",
     "write_residual_csv",
     "sha256_digest",
     "sidecar_path",
 ]
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _floats(column) -> list[float]:
+    """A float column as Python floats, whose ``repr`` re-parses bit for bit."""
+    return np.asarray(column, dtype=float).tolist()
+
+
+def _write_rows(path: Path, header: str, *columns) -> None:
+    """Write a CSV of a header line and one row per position of the
+    (equally long) columns of Python numbers, each written with ``repr``."""
+    rows = (",".join(map(repr, row)) for row in zip(*columns))
+    path.write_text("\n".join([header, *rows]) + "\n")
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -131,10 +140,7 @@ def write_scan_csv(scan: SpectralScan, path: str | Path, metadata: dict | None =
     """Write a spectral scan as CSV plus a JSON metadata sidecar."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["wavelength_nm,rate_hz"]
-    for wl, rate in zip(scan.wavelength_nm, scan.rate_hz):
-        lines.append(f"{_fmt(wl)},{_fmt(rate)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_rows(path, "wavelength_nm,rate_hz", _floats(scan.wavelength_nm), _floats(scan.rate_hz))
     payload = {
         "filter_fwhm_nm": scan.filter_fwhm_nm,
         "step_nm": scan.step_nm,
@@ -170,10 +176,8 @@ def write_sweep_csv(sweep: PowerSweep, path: str | Path, metadata: dict | None =
     """Write a value-vs-power dataset (``pump_w,value,sigma``) plus sidecar."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["pump_w,value,sigma"]
-    for p, y, s in zip(sweep.pump_w, sweep.value, sweep.sigma):
-        lines.append(f"{_fmt(p)},{_fmt(y)},{_fmt(s)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_rows(path, "pump_w,value,sigma",
+                _floats(sweep.pump_w), _floats(sweep.value), _floats(sweep.sigma))
     payload = {"kind": sweep.kind}
     if metadata:
         payload.update(metadata)
@@ -208,10 +212,10 @@ def write_counts_csv(
     """Write raw counting data (``pump_w,counts,duration_s,seed``) plus sidecar."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["pump_w,counts,duration_s,seed"]
-    for p, rec in zip(pump_w, records):
-        lines.append(f"{_fmt(p)},{rec.counts},{_fmt(rec.duration_s)},{rec.seed}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_rows(path, "pump_w,counts,duration_s,seed", _floats(pump_w),
+                [int(rec.counts) for rec in records],
+                _floats([rec.duration_s for rec in records]),
+                [int(rec.seed) for rec in records])
     if metadata is None:
         metadata = {}
     _write_json(sidecar_path(path), metadata)
@@ -305,12 +309,27 @@ def efficiency_fit_covariance(fit: dict) -> np.ndarray | None:
     return np.array(rows, dtype=float)
 
 
+def noise_fit_coefficients(fit: dict) -> dict[str, float]:
+    """The noise coefficients (``alpha_n_tele``, ``alpha_n_vis``) a parsed
+    noise-fit payload holds; either may be absent."""
+    fitted = fit.get("parameters", {})
+    if not isinstance(fitted, dict):
+        raise DataFormatError(f"noise fit: parameters is not an object: {fitted!r}")
+    values = {}
+    for key in ("alpha_n_tele", "alpha_n_vis"):
+        if key in fitted:
+            if not _is_finite(fitted[key]):
+                raise DataFormatError(
+                    f"noise fit: parameters.{key} is not a finite number: {fitted[key]!r}")
+            values[key] = fitted[key]
+    return values
+
+
 def write_residual_csv(path: str | Path, pump_w, value, model, sigma) -> Path:
     """Residual table accompanying a fit."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["pump_w,value,model,residual,sigma"]
-    for p, y, m, s in zip(pump_w, value, model, sigma):
-        lines.append(f"{_fmt(p)},{_fmt(y)},{_fmt(m)},{_fmt(y - m)},{_fmt(s)}")
-    path.write_text("\n".join(lines) + "\n")
+    value, model = np.asarray(value, dtype=float), np.asarray(model, dtype=float)
+    _write_rows(path, "pump_w,value,model,residual,sigma", _floats(pump_w),
+                _floats(value), _floats(model), _floats(value - model), _floats(sigma))
     return path

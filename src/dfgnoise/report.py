@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from . import converter
 from .config import RunConfig
-from .dataio import apply_efficiency_fit
+from .dataio import apply_efficiency_fit, noise_fit_coefficients
 
 __all__ = ["build_report"]
 
@@ -44,10 +44,9 @@ def build_report(
         params = apply_efficiency_fit(params, efficiency_fit)
         eff_sig = efficiency_fit.get("sigmas", {})
     if noise_fit is not None:
-        if "alpha_n_tele" in noise_fit.get("parameters", {}):
-            params = replace(params, alpha_n=noise_fit["parameters"]["alpha_n_tele"])
-        if "alpha_n_vis" in noise_fit.get("parameters", {}):
-            alpha_vis = noise_fit["parameters"]["alpha_n_vis"]
+        alphas = noise_fit_coefficients(noise_fit)
+        params = replace(params, alpha_n=alphas.get("alpha_n_tele", params.alpha_n))
+        alpha_vis = alphas.get("alpha_n_vis", alpha_vis)
         noise_sig = noise_fit.get("sigmas", {})
 
     p_peak = converter.peak_pump_power(params)

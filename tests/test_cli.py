@@ -334,6 +334,31 @@ def test_report_uses_fit_results(outdir):
     assert "0.68" in text and "(fitted)" in text
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"parameters": {"alpha_n_tele": "129e3"}}', "alpha_n_tele"),
+    ('{"parameters": {"alpha_n_vis": null}}', "alpha_n_vis"),
+    ('{"parameters": {"alpha_n_tele": 1e999}}', "alpha_n_tele"),
+    ('{"parameters": [129e3]}', "parameters"),
+])
+def test_report_malformed_noise_fit_exit_code(outdir, text, key, capsys):
+    outdir.mkdir(parents=True)
+    fit_path = outdir / "noise.json"
+    fit_path.write_text(text)
+    assert run("report", "--noise-fit", str(fit_path), "--out", str(outdir)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise fit: ") and key in err
+
+
+def test_report_uses_noise_fit(outdir):
+    outdir.mkdir(parents=True)
+    fit_path = outdir / "noise.json"
+    fit_path.write_text('{"parameters": {"alpha_n_tele": 150e3, "alpha_n_vis": 400e3}}')
+    assert run("report", "--noise-fit", str(fit_path), "--out", str(outdir)) == 0
+    text = (outdir / "report.txt").read_text()
+    assert "telecom coefficient 150.0 kHz/(W cm)" in text
+    assert "visible coefficient: 400.0 kHz/(W cm)" in text
+
+
 # ----------------------------------------------------------- validate-config
 
 def test_validate_config_ok(tmp_path):
@@ -369,9 +394,11 @@ def test_usage_error_exit_code():
 
 
 def test_cli_import_does_not_load_scipy():
+    # neither scipy nor numpy.random: both would slow every cold command
     src = str(Path(dfgnoise.__file__).resolve().parents[1])
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import dfgnoise.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
     proc = subprocess.run([sys.executable, "-c", probe, src],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Tests for configuration validation and file round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import yaml
@@ -204,6 +206,31 @@ def test_validate_config_rejects_negative_seed(tmp_path, capsys):
     config.write_text(DEFAULT_CONFIG_YAML.replace("seed: 20210412", "seed: -3"))
     assert cli.main(["validate-config", "--config", str(config)]) == cli.EXIT_DATA
     assert "seed: must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("step_nm: 0.10}", "step_nm: 1e-1}"),
+    ("bandwidth_ref_hz: 25.0e+09", "bandwidth_ref_hz: 25e9"),
+    ("bandwidth_ref_hz: 25.0e+09", "bandwidth_ref_hz: 2.5E10"),
+    ("alpha_n_vis_hz_per_w_cm: 391.0e+03", "alpha_n_vis_hz_per_w_cm: +.391e+6"),
+])
+def test_exponent_form_numbers_are_floats(tmp_path, old, new):
+    # YAML 1.1 reads an exponent without a dot or a sign as a string;
+    # configs are read with the YAML 1.2 float syntax
+    config = tmp_path / "run.yaml"
+    config.write_text(DEFAULT_CONFIG_YAML.replace(old, new))
+    assert new in config.read_text()
+    assert repr(replace(load_config(config), source="")) == repr(replace(default_config(), source=""))
+    assert cli.main(["validate-config", "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize("spelling", ["1e-1x", "e-1", "1e", "0.1 nm", "0x1p-3"])
+def test_non_numeric_strings_still_rejected(tmp_path, capsys, spelling):
+    config = tmp_path / "run.yaml"
+    config.write_text(DEFAULT_CONFIG_YAML.replace("step_nm: 0.10}", f"step_nm: {spelling}}}"))
+    assert cli.main(["validate-config", "--config", str(config)]) == cli.EXIT_DATA
+    assert (f"scans.telecom.step_nm: expected a number, got str ('{spelling}')"
+            in capsys.readouterr().err)
 
 
 # --------------------------------------------------------------- round trips

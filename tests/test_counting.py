@@ -1,11 +1,12 @@
 """Tests for the detection-chain Monte Carlo and its inverse."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from dfgnoise import counting
+from dfgnoise import counting, dataio
 from dfgnoise.counting import CountRecord, MeasurementChain
 from dfgnoise.errors import ParameterError
 
@@ -121,6 +122,48 @@ def test_simulate_sweep_matches_per_point_draws():
     expected = [counting.simulate_counts(r, TELECOM, counting.derive_seed(5, i))
                 for i, r in enumerate(rates)]
     assert counting.simulate_sweep(rates, TELECOM, base_seed=5) == expected
+    # numpy draws a Poisson mean below 10 by inversion and one at or above
+    # 10 by rejection; the sweep must reproduce scalar draws in both
+    chain = MeasurementChain(TELECOM.transmissions, 0.10, 0.5, 1.0)
+    rates = np.linspace(0.0, 1.0e3, 400)
+    means = counting.expected_counts(rates, chain, 1.0)
+    assert means.min() < 10.0 <= means.max()
+    base = counting.derive_seed(20210412, 5)
+    expected = [counting.simulate_counts(r, chain, counting.derive_seed(base, i))
+                for i, r in enumerate(rates)]
+    assert counting.simulate_sweep(rates, chain, base) == expected
+    assert counting.simulate_sweep([], chain, base) == []
+
+
+# a fixed draw of random bases: one word above 32 bits, one above the
+# four-word SeedSequence pool
+_RANDOM = random.Random(20210412)
+_BASES = [0, 1, 2**31, 2**32 - 1, _RANDOM.getrandbits(64), _RANDOM.getrandbits(160)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2000])
+@pytest.mark.parametrize("base", _BASES)
+def test_derive_seeds_match_derive_seed(base, n):
+    seeds = counting.derive_seeds(base, n)
+    assert seeds.dtype == np.uint32
+    assert seeds.tolist() == [counting.derive_seed(base, i) for i in range(n)]
+
+
+def test_derive_seeds_rejects_negative_base():
+    with pytest.raises(ParameterError):
+        counting.derive_seeds(-1, 3)
+
+
+def test_written_seed_column_replays(tmp_path):
+    rates = np.linspace(0.0, 5.0e4, 50)
+    pump = np.linspace(0.0, 0.44, 50)
+    records = counting.simulate_sweep(rates, TELECOM, base_seed=17)
+    path = dataio.write_counts_csv(pump, records, tmp_path / "counts.csv")
+    _, counts, durations, seeds, _ = dataio.read_counts_csv(path)
+    assert seeds == counting.derive_seeds(17, 50).tolist()
+    replayed = [counting.simulate_counts(r, TELECOM, s, duration_s=t).counts
+                for r, s, t in zip(rates, seeds, durations)]
+    assert replayed == counts.tolist()
 
 
 def test_normalize_sigma_floor_is_one_count():
