@@ -26,6 +26,7 @@ from .converter import (
 from .counting import (
     CountRecord,
     MeasurementChain,
+    SweepCounts,
     chain_transmission,
     expected_counts,
     normalize_counts,
@@ -61,7 +62,7 @@ __all__ = [
     "peak_pump_power", "photons_per_mode", "rescale_alpha_to_bandwidth",
     "sfg_partner_wavelength", "telecom_noise_rate", "telecom_noise_rate_quadrature",
     "telecom_partner_wavelength", "visible_noise_rate", "visible_noise_rate_lowpower",
-    "CountRecord", "MeasurementChain", "chain_transmission", "expected_counts",
+    "CountRecord", "MeasurementChain", "SweepCounts", "chain_transmission", "expected_counts",
     "normalize_counts", "normalize_to_waveguide", "simulate_counts", "simulate_sweep",
     "FitResult", "PowerSweep", "fit_alpha_linear", "fit_alpha_visible",
     "fit_efficiency_shared", "lsq_minimize", "predict_noise_curves",

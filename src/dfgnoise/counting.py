@@ -20,6 +20,7 @@ from .errors import ParameterError
 __all__ = [
     "MeasurementChain",
     "CountRecord",
+    "SweepCounts",
     "NormalizedRate",
     "chain_transmission",
     "expected_counts",
@@ -40,6 +41,15 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 # for each pool word, the indices of the other three
 _OTHER_WORDS = [np.delete(np.arange(_POOL_SIZE), i) for i in range(_POOL_SIZE)]
+
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64), as uint64 halves
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+# numpy.random's POISSON_LAM_MAX: larger means raise ValueError
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+# Below this many points a sweep draws every point from its own Generator:
+# the array pass has a fixed cost of about 0.2 ms, which per-point draws
+# (about 4 us each) only pass in longer sweeps.
+_ARRAY_DRAW_MIN_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,24 @@ class CountRecord:
             raise ParameterError("counts must be non-negative")
         if not self.duration_s > 0:
             raise ParameterError("duration must be positive")
+
+
+@dataclass(frozen=True, eq=False)
+class SweepCounts:
+    """Counting results of a sweep: an int64 array of counts and the uint32
+    array of per-point seeds that produced them, over one duration.  Its
+    length is the number of points."""
+
+    counts: np.ndarray
+    duration_s: float
+    seeds: np.ndarray
+
+    def __post_init__(self):
+        if not self.duration_s > 0:
+            raise ParameterError("duration must be positive")
+
+    def __len__(self) -> int:
+        return len(self.counts)
 
 
 class NormalizedRate(NamedTuple):
@@ -196,18 +224,101 @@ class _SeedWords:
         return self.words
 
 
-def _poisson_draws(means, seeds: np.ndarray) -> list[int]:
-    """``default_rng(seed).poisson(mean)`` for each pair, with the PCG64
-    seeding words of every seed, ``SeedSequence(seed).generate_state(4,
-    uint64)``, computed as one array pass."""
+def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, uint64)`` for every seed, as
+    an (n, 4) uint64 array: the words that seed each point's PCG64."""
+    # pairs of uint32 words read as little-endian uint64, as SeedSequence does
+    state = _seed_sequence_state(seeds[None], 8)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit product of a uint64 array and a 64-bit
+    constant, from 32-bit limbs."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    cross_a, cross_b = a_hi * b_lo, a_lo * b_hi
+    mid = ((a_lo * b_lo) >> 32) + (cross_a & _MASK32) + (cross_b & _MASK32)
+    return a_hi * b_hi + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32)
+
+
+def _pcg_step(high, low, inc_high, inc_low):
+    """One step of PCG64's 128-bit LCG, ``state * multiplier + inc``, on
+    uint64 (high, low) halves."""
+    product_high = _mulhi64(low, _PCG_MULT_LO) + low * _PCG_MULT_HI + high * _PCG_MULT_LO
+    low = low * _PCG_MULT_LO + inc_low
+    return product_high + inc_high + (low < inc_low), low
+
+
+def _pcg_doubles(words: np.ndarray, count: int) -> list[np.ndarray]:
+    """The first ``count`` ``next_double`` outputs of ``PCG64`` seeded with
+    each row of an (n, 4) uint64 array of seeding words, one array each.
+
+    Seeding is ``pcg_setseq_128_srandom_r``: the increment is
+    ``(initseq << 1) | 1``; step from zero, add ``initstate``, step.  Each
+    output steps, then applies XSL-RR, and keeps the top 53 bits.
+    """
+    init_high, init_low, seq_high, seq_low = words.T
+    inc_high = (seq_high << 1) | (seq_low >> 63)
+    inc_low = (seq_low << 1) | 1
+    low = inc_low + init_low  # the first step from a zero state gives inc
+    high = inc_high + init_high + (low < init_low)
+    high, low = _pcg_step(high, low, inc_high, inc_low)
+    doubles = []
+    for _ in range(count):
+        high, low = _pcg_step(high, low, inc_high, inc_low)
+        xored, rot = high ^ low, high >> 58
+        out = (xored >> rot) | (xored << ((64 - rot) & 63))
+        doubles.append((out >> 11) * 2.0 ** -53)
+    return doubles
+
+
+def _ptrs_first_try(means: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first try of numpy's PTRS Poisson sampler (Hoermann 1993,
+    ``random_poisson_ptrs``) at each mean, from each point's first two
+    doubles: (accepted mask, counts of the accepted points).
+
+    Only the quick acceptance test is evaluated; a point whose first try
+    is rejected or needs the log test is left unaccepted.
+    """
+    first, v = _pcg_doubles(words, 2)
+    u = first - 0.5
+    us = 0.5 - np.abs(u)
+    b = 0.931 + 2.53 * np.sqrt(means)
+    vr = 0.9277 - 3.6224 / (b - 2)
+    accepted = (us >= 0.07) & (v <= vr)
+    a = -0.059 + 0.02483 * b[accepted]
+    counts = np.floor((2 * a / us[accepted] + b[accepted]) * u[accepted]
+                      + means[accepted] + 0.43)
+    return accepted, counts.astype(np.int64)
+
+
+def _poisson_draws(means: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """``default_rng(seed).poisson(mean)`` for each pair, as an int64 array.
+
+    The PCG64 seeding words of every seed are one array pass.  In a long
+    sweep, points whose mean takes numpy's PTRS branch and is
+    accepted on the first try are drawn as one array pass too; every
+    other point (small, zero, NaN or too-large means, and later tries)
+    draws from its own ``Generator`` seeded with the same words, so numpy
+    keeps its rare branches and its errors.
+    """
     from numpy.random import PCG64, Generator  # loaded on first draw, not at CLI start-up
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_SeedWords)  # bit generators take any registered seed sequence
-    # pairs of uint32 words read as little-endian uint64, as SeedSequence does
-    state = _seed_sequence_state(seeds[None], 8)
-    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
-    return [int(Generator(PCG64(_SeedWords(w))).poisson(m)) for w, m in zip(words, means)]
+    words = _pcg64_words(seeds)
+    counts = np.zeros(len(means), dtype=np.int64)
+    per_point = np.ones(len(means), dtype=bool)
+    if len(means) >= _ARRAY_DRAW_MIN_POINTS:
+        ptrs = np.flatnonzero((means >= 10) & (means <= _POISSON_LAM_MAX))
+        accepted, drawn = _ptrs_first_try(means[ptrs], words[ptrs])
+        counts[ptrs[accepted]] = drawn
+        per_point[ptrs[accepted]] = False
+    rest = np.flatnonzero(per_point)
+    counts[rest] = [Generator(PCG64(_SeedWords(words[i]))).poisson(means[i])
+                    for i in rest.tolist()]
+    return counts
 
 
 def expected_counts(true_rate_hz, chain: MeasurementChain, duration_s: float):
@@ -236,15 +347,14 @@ def simulate_sweep(
     chain: MeasurementChain,
     base_seed: int,
     duration_s: float | None = None,
-) -> list[CountRecord]:
+) -> SweepCounts:
     """Counting results for a list of rates, one derived seed per point, so
     the outcome is independent of evaluation order.  Point ``i`` equals
     ``simulate_counts(rate_i, chain, derive_seed(base_seed, i))``."""
     t = chain.integration_time_s if duration_s is None else duration_s
     means = expected_counts(np.asarray(true_rates_hz, dtype=float), chain, t)
     seeds = derive_seeds(base_seed, len(means))
-    counts = _poisson_draws(means.tolist(), seeds)
-    return [CountRecord(c, t, s) for c, s in zip(counts, seeds.tolist())]
+    return SweepCounts(_poisson_draws(means, seeds), t, seeds)
 
 
 def normalize_counts(

@@ -13,11 +13,13 @@ import hashlib
 import json
 import sys
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .converter import ConverterParams
+from .counting import SweepCounts
 from .errors import DataFormatError
 from .fitting import FitResult, PowerSweep
 from .spectra import SpectralScan
@@ -34,9 +36,11 @@ __all__ = [
     "apply_efficiency_fit",
     "efficiency_fit_covariance",
     "noise_fit_coefficients",
+    "fit_sigmas",
     "write_residual_csv",
     "sha256_digest",
     "sidecar_path",
+    "sidecar_number",
 ]
 
 
@@ -103,6 +107,15 @@ def _read_sidecar(path: Path) -> dict:
     return _read_json(meta_file) if meta_file.exists() else {}
 
 
+def sidecar_number(path: Path, meta: dict, key: str, default: float) -> float:
+    """The number under ``key`` in the parsed sidecar ``meta`` of the data
+    file ``path``; ``default`` when the key is absent."""
+    value = meta.get(key, default)
+    if not _is_finite(value):
+        raise DataFormatError(f"{sidecar_path(path)}: {key} is not a finite number: {value!r}")
+    return float(value)
+
+
 def _parse_float(row_value: str, path: Path, line_no: int, column: str) -> float:
     try:
         return float(row_value)
@@ -112,26 +125,56 @@ def _parse_float(row_value: str, path: Path, line_no: int, column: str) -> float
         ) from None
 
 
-def _read_rows(path: Path, expected_header: list[str]):
+def _check_row(row: list[str], columns, path: Path, line_no: int) -> None:
+    """Raise the error of the first cell of ``row``, in column order, that
+    does not convert; the integer cells are checked together, as one rule."""
+    int_cells = [cell for (_, kind), cell in zip(columns, row) if kind is int]
+    for (name, kind), cell in zip(columns, row):
+        if kind is float:
+            _parse_float(cell, path, line_no, name)
+            continue
+        try:
+            list(map(int, int_cells))
+        except ValueError:
+            names = " and ".join(name for name, kind in columns if kind is int)
+            raise DataFormatError(f"{path}:{line_no}: {names} must be integers") from None
+
+
+def _read_columns(path: Path, columns) -> list[list]:
+    """The columns of a CSV with the header and types of ``columns``, a
+    sequence of (name, ``float`` or ``int``), each converted whole to a
+    list of Python numbers.
+
+    The text is split by ``csv.reader`` once, so quoted cells parse.  When
+    a row has the wrong length or a cell does not convert, the rows are
+    walked again in order, so the error names the first bad line and cell.
+    """
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    rows = list(reader)
+    rows = list(csv.reader(text.splitlines()))
+    header = [name for name, _ in columns]
     if not rows:
         raise DataFormatError(f"{path}:1: file is empty")
-    if rows[0] != expected_header:
+    if rows[0] != header:
         raise DataFormatError(
-            f"{path}:1: expected header {','.join(expected_header)!r}, "
-            f"got {','.join(rows[0])!r}"
+            f"{path}:1: expected header {','.join(header)!r}, got {','.join(rows[0])!r}"
         )
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(expected_header):
+    body = rows[1:]
+    if all(len(row) == len(header) for row in body):
+        try:
+            return [list(map(kind, map(itemgetter(j), body)))
+                    for j, (_, kind) in enumerate(columns)]
+        except ValueError:
+            pass
+    for line_no, row in enumerate(body, start=2):
+        if len(row) != len(header):
             raise DataFormatError(
-                f"{path}:{line_no}: expected {len(expected_header)} columns, got {len(row)}"
+                f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}"
             )
-        yield line_no, row
+        _check_row(row, columns, path, line_no)
+    raise AssertionError(f"{path}: a column failed to convert, but no row did")
 
 
 # ---------------------------------------------------------------- scans
@@ -155,17 +198,14 @@ def write_scan_csv(scan: SpectralScan, path: str | Path, metadata: dict | None =
 def read_scan_csv(path: str | Path) -> tuple[SpectralScan, dict]:
     """Read a scan CSV and its sidecar (empty dict when absent)."""
     path = Path(path)
-    wl, rate = [], []
-    for line_no, row in _read_rows(path, ["wavelength_nm", "rate_hz"]):
-        wl.append(_parse_float(row[0], path, line_no, "wavelength_nm"))
-        rate.append(_parse_float(row[1], path, line_no, "rate_hz"))
+    wl, rate = _read_columns(path, (("wavelength_nm", float), ("rate_hz", float)))
     meta = _read_sidecar(path)
     scan = SpectralScan(
         wavelength_nm=np.array(wl),
         rate_hz=np.array(rate),
-        filter_fwhm_nm=float(meta.get("filter_fwhm_nm", 0.0)),
-        step_nm=float(meta.get("step_nm", 0.0)),
-        integration_time_s=float(meta.get("integration_time_s", 0.0)),
+        filter_fwhm_nm=sidecar_number(path, meta, "filter_fwhm_nm", 0.0),
+        step_nm=sidecar_number(path, meta, "step_nm", 0.0),
+        integration_time_s=sidecar_number(path, meta, "integration_time_s", 0.0),
     )
     return scan, meta
 
@@ -189,11 +229,7 @@ def read_sweep_csv(path: str | Path, kind: str | None = None) -> PowerSweep:
     """Read a ``pump_w,value,sigma`` dataset; ``kind`` falls back to the
     sidecar when not given."""
     path = Path(path)
-    p, y, s = [], [], []
-    for line_no, row in _read_rows(path, ["pump_w", "value", "sigma"]):
-        p.append(_parse_float(row[0], path, line_no, "pump_w"))
-        y.append(_parse_float(row[1], path, line_no, "value"))
-        s.append(_parse_float(row[2], path, line_no, "sigma"))
+    p, y, s = _read_columns(path, (("pump_w", float), ("value", float), ("sigma", float)))
     if kind is None:
         kind = _read_sidecar(path).get("kind")
         if kind is None:
@@ -207,15 +243,14 @@ def read_sweep_csv(path: str | Path, kind: str | None = None) -> PowerSweep:
 # ---------------------------------------------------------------- counts
 
 def write_counts_csv(
-    pump_w, records, path: str | Path, metadata: dict | None = None
+    pump_w, sweep: SweepCounts, path: str | Path, metadata: dict | None = None
 ) -> Path:
     """Write raw counting data (``pump_w,counts,duration_s,seed``) plus sidecar."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_rows(path, "pump_w,counts,duration_s,seed", _floats(pump_w),
-                [int(rec.counts) for rec in records],
-                _floats([rec.duration_s for rec in records]),
-                [int(rec.seed) for rec in records])
+                sweep.counts.tolist(), [float(sweep.duration_s)] * len(sweep),
+                sweep.seeds.tolist())
     if metadata is None:
         metadata = {}
     _write_json(sidecar_path(path), metadata)
@@ -225,17 +260,8 @@ def write_counts_csv(
 def read_counts_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], dict]:
     """Read counting data; returns (pump_w, counts, duration_s, seeds, metadata)."""
     path = Path(path)
-    p, c, d, seeds = [], [], [], []
-    for line_no, row in _read_rows(path, ["pump_w", "counts", "duration_s", "seed"]):
-        p.append(_parse_float(row[0], path, line_no, "pump_w"))
-        try:
-            c.append(int(row[1]))
-            seeds.append(int(row[3]))
-        except ValueError:
-            raise DataFormatError(
-                f"{path}:{line_no}: counts and seed must be integers"
-            ) from None
-        d.append(_parse_float(row[2], path, line_no, "duration_s"))
+    p, c, d, seeds = _read_columns(
+        path, (("pump_w", float), ("counts", int), ("duration_s", float), ("seed", int)))
     return np.array(p), np.array(c), np.array(d), seeds, _read_sidecar(path)
 
 
@@ -322,6 +348,22 @@ def noise_fit_coefficients(fit: dict) -> dict[str, float]:
                 raise DataFormatError(
                     f"noise fit: parameters.{key} is not a finite number: {fitted[key]!r}")
             values[key] = fitted[key]
+    return values
+
+
+def fit_sigmas(fit: dict, label: str, keys) -> dict[str, float | None]:
+    """The uncertainties of ``keys`` in a parsed fit payload (see
+    :func:`write_fit_json`), labelled ``label`` in messages; an absent or
+    null sigma (a non-finite one is written as null) maps to None."""
+    sigmas = fit.get("sigmas", {})
+    if not isinstance(sigmas, dict):
+        raise DataFormatError(f"{label}: sigmas is not an object: {sigmas!r}")
+    values = {}
+    for key in keys:
+        value = sigmas.get(key)
+        if value is not None and not _is_finite(value):
+            raise DataFormatError(f"{label}: sigmas.{key} is not a finite number: {value!r}")
+        values[key] = value
     return values
 
 

@@ -199,9 +199,9 @@ def simulate_power_sweep(cfg: RunConfig, seed: int, out_dir: Path, kind: str) ->
         fraction = visible_in_band_fraction(cfg)
         rates = rates / fraction  # neighbors leak through the bandpass
     base = counting.derive_seed(seed, stream)
-    records = counting.simulate_sweep(rates, cfg.chains[chain_name], base)
+    counts = counting.simulate_sweep(rates, cfg.chains[chain_name], base)
     return dataio.write_counts_csv(
-        grid, records, out_dir / f"sweep_{kind}.csv",
+        grid, counts, out_dir / f"sweep_{kind}.csv",
         metadata={"seed": seed, "kind": kind, "in_band_fraction": fraction,
                   "units": {"pump_w": "W", "duration_s": "s"}},
     )
@@ -217,10 +217,7 @@ def sweep_from_counts(path: Path, cfg: RunConfig) -> PowerSweep:
             f"{path}: sidecar does not identify a noise sweep kind (got {kind!r})"
         )
     chain = cfg.chains[_SWEEPS[kind][1]]
-    fraction = meta.get("in_band_fraction", 1.0)
-    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
-        raise DataFormatError(
-            f"{dataio.sidecar_path(path)}: in_band_fraction is not a number: {fraction!r}")
+    fraction = dataio.sidecar_number(path, meta, "in_band_fraction", 1.0)
     rate, sigma = counting.normalize_counts(counts, durations, chain, in_band_fraction=fraction)
     return PowerSweep(pump_w=pump_w, value=rate, sigma=sigma, kind=kind)
 

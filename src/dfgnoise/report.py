@@ -12,15 +12,19 @@ from dataclasses import replace
 
 from . import converter
 from .config import RunConfig
-from .dataio import apply_efficiency_fit, noise_fit_coefficients
+from .dataio import apply_efficiency_fit, fit_sigmas, noise_fit_coefficients
 
 __all__ = ["build_report"]
 
 
-def _param_line(name: str, value: float, sigma: float | None, unit: str) -> str:
-    if sigma is None:
-        return f"  {name:<14} {value:.4g} {unit}  (configured)"
-    return f"  {name:<14} {value:.4g} +/- {sigma:.2g} {unit}  (fitted)"
+def _param_line(name: str, value: float, unit: str, fitted: dict, scale: float = 1.0) -> str:
+    """One parameter; ``fitted`` maps each fitted name to its sigma or None,
+    and ``value`` is shown divided by ``scale``."""
+    if name not in fitted:
+        return f"  {name:<14} {value / scale:.4g} {unit}  (configured)"
+    if fitted[name] is None:
+        return f"  {name:<14} {value / scale:.4g} {unit}  (fitted, no uncertainty)"
+    return f"  {name:<14} {value / scale:.4g} +/- {fitted[name] / scale:.2g} {unit}  (fitted)"
 
 
 def build_report(
@@ -38,16 +42,16 @@ def build_report(
     """
     params = cfg.converter
     alpha_vis = cfg.alpha_n_visible
-    eff_sig = {}
-    noise_sig = {}
+    fitted = {}  # sigma (or None) of each fitted parameter
     if efficiency_fit is not None:
         params = apply_efficiency_fit(params, efficiency_fit)
-        eff_sig = efficiency_fit.get("sigmas", {})
+        fitted.update(fit_sigmas(efficiency_fit, "efficiency fit",
+                                 ("eta_max_int", "eta_max_ext", "eta_n")))
     if noise_fit is not None:
         alphas = noise_fit_coefficients(noise_fit)
         params = replace(params, alpha_n=alphas.get("alpha_n_tele", params.alpha_n))
         alpha_vis = alphas.get("alpha_n_vis", alpha_vis)
-        noise_sig = noise_fit.get("sigmas", {})
+        fitted.update(fit_sigmas(noise_fit, "noise fit", alphas))
 
     p_peak = converter.peak_pump_power(params)
     p_max = cfg.sweep.pump_max_w
@@ -70,11 +74,11 @@ def build_report(
         "=================================",
         "",
         "device parameters",
-        _param_line("eta_max_int", params.eta_max_int, eff_sig.get("eta_max_int"), ""),
-        _param_line("eta_max_ext", params.eta_max_ext, eff_sig.get("eta_max_ext"), ""),
-        _param_line("eta_n", params.eta_n, eff_sig.get("eta_n"), "/(W cm^2)"),
-        _param_line("alpha_n_tele", params.alpha_n / 1e3, _scaled(noise_sig.get("alpha_n_tele")), "kHz/(W cm)"),
-        _param_line("alpha_n_vis", alpha_vis / 1e3, _scaled(noise_sig.get("alpha_n_vis")), "kHz/(W cm)"),
+        _param_line("eta_max_int", params.eta_max_int, "", fitted),
+        _param_line("eta_max_ext", params.eta_max_ext, "", fitted),
+        _param_line("eta_n", params.eta_n, "/(W cm^2)", fitted),
+        _param_line("alpha_n_tele", params.alpha_n, "kHz/(W cm)", fitted, scale=1e3),
+        _param_line("alpha_n_vis", alpha_vis, "kHz/(W cm)", fitted, scale=1e3),
         f"  length         {params.length_cm:.4g} cm",
         f"  alpha_n bandwidth {params.bandwidth_ref_hz:.4g} Hz",
         "",
@@ -97,7 +101,3 @@ def build_report(
         "",
     ]
     return "\n".join(lines)
-
-
-def _scaled(sigma: float | None) -> float | None:
-    return None if sigma is None else sigma / 1e3

@@ -213,6 +213,17 @@ def test_corrupt_scan_and_sweep_sidecars_are_data_errors(outdir, what, csv_name,
         reader(outdir / csv_name)
 
 
+@pytest.mark.parametrize("key", ["filter_fwhm_nm", "step_nm", "integration_time_s"])
+@pytest.mark.parametrize("value", ["wide", [1], None, True, float("nan")])
+def test_scan_sidecar_number_is_data_error(outdir, key, value):
+    assert run("simulate", "telecom-spectrum", "--out", str(outdir)) == 0
+    path = outdir / "telecom_spectrum.csv"
+    meta = json.loads(dataio.sidecar_path(path).read_text())
+    dataio.sidecar_path(path).write_text(json.dumps({**meta, key: value}))
+    with pytest.raises(DataFormatError, match=f"telecom_spectrum.meta.json: {key} is not a finite number"):
+        dataio.read_scan_csv(path)
+
+
 @pytest.mark.parametrize("broken", ["missing", "string"])
 @pytest.mark.parametrize("command", ["fit-noise", "report"])
 def test_efficiency_fit_missing_key_exit_code(outdir, command, broken, capsys):
@@ -357,6 +368,53 @@ def test_report_uses_noise_fit(outdir):
     text = (outdir / "report.txt").read_text()
     assert "telecom coefficient 150.0 kHz/(W cm)" in text
     assert "visible coefficient: 400.0 kHz/(W cm)" in text
+
+
+_EFFICIENCY_FIT = {
+    "parameter_order": ["eta_max_int", "eta_max_ext", "eta_n"],
+    "parameters": {"eta_max_int": 0.68, "eta_max_ext": 0.47, "eta_n": 0.60},
+    "sigmas": {"eta_max_int": 0.01, "eta_max_ext": 0.01, "eta_n": 0.02},
+}
+_NOISE_FIT = {
+    "parameters": {"alpha_n_tele": 150e3, "alpha_n_vis": 400e3},
+    "sigmas": {"alpha_n_tele": 2e3, "alpha_n_vis": 5e3},
+}
+
+
+@pytest.mark.parametrize("option, fit, sigmas, key", [
+    ("--noise-fit", _NOISE_FIT, {"alpha_n_tele": "1e3"}, "sigmas.alpha_n_tele"),
+    ("--noise-fit", _NOISE_FIT, {"alpha_n_vis": [5e3]}, "sigmas.alpha_n_vis"),
+    ("--noise-fit", _NOISE_FIT, "x", "sigmas"),
+    ("--efficiency-fit", _EFFICIENCY_FIT, "x", "sigmas"),
+    ("--efficiency-fit", _EFFICIENCY_FIT, {"eta_n": True}, "sigmas.eta_n"),
+    ("--efficiency-fit", _EFFICIENCY_FIT, {"eta_max_ext": 1e999}, "sigmas.eta_max_ext"),
+])
+def test_report_malformed_sigmas_exit_code(outdir, option, fit, sigmas, key, capsys):
+    outdir.mkdir(parents=True)
+    fit_path = outdir / "fit.json"
+    fit_path.write_text(json.dumps({**fit, "sigmas": sigmas}))
+    assert run("report", option, str(fit_path), "--out", str(outdir)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    label = "noise fit" if option == "--noise-fit" else "efficiency fit"
+    assert err.startswith(f"error: {label}: {key} ")
+
+
+def test_report_labels_fitted_sigmas(outdir):
+    # a null sigma (non-finite when written) or a missing one is still a
+    # fitted value, never "(configured)"
+    outdir.mkdir(parents=True)
+    eff_path, noise_path = outdir / "eff.json", outdir / "noise.json"
+    eff_path.write_text(json.dumps({**_EFFICIENCY_FIT, "sigmas": {"eta_max_int": None}}))
+    noise_path.write_text(json.dumps({"parameters": {"alpha_n_tele": 150e3},
+                                      "sigmas": {"alpha_n_tele": 2e3}}))
+    assert run("report", "--efficiency-fit", str(eff_path), "--noise-fit", str(noise_path),
+               "--out", str(outdir)) == 0
+    lines = {line.split()[0]: line for line in
+             (outdir / "report.txt").read_text().splitlines()[4:9]}
+    assert lines["eta_max_int"].endswith("0.68   (fitted, no uncertainty)")
+    assert lines["eta_max_ext"].endswith("0.47   (fitted, no uncertainty)")
+    assert lines["alpha_n_tele"].endswith("150 +/- 2 kHz/(W cm)  (fitted)")
+    assert lines["alpha_n_vis"].endswith("391 kHz/(W cm)  (configured)")
 
 
 # ----------------------------------------------------------- validate-config

@@ -8,7 +8,7 @@ import yaml
 
 from dfgnoise import cli, dataio
 from dfgnoise.config import DEFAULT_CONFIG_YAML, default_config, load_config, parse_config, write_template
-from dfgnoise.counting import CountRecord
+from dfgnoise.counting import SweepCounts
 from dfgnoise.errors import ConfigError, DataFormatError
 from dfgnoise.fitting import FitResult, PowerSweep
 from dfgnoise.spectra import SpectralScan
@@ -263,8 +263,8 @@ def test_sweep_csv_round_trip(tmp_path):
 
 
 def test_counts_csv_round_trip(tmp_path):
-    records = [CountRecord(123, 10.0, 42), CountRecord(456, 10.0, 43)]
-    path = dataio.write_counts_csv([0.1, 0.2], records, tmp_path / "counts.csv",
+    sweep = SweepCounts(np.array([123, 456]), 10.0, np.array([42, 43], dtype=np.uint32))
+    path = dataio.write_counts_csv([0.1, 0.2], sweep, tmp_path / "counts.csv",
                                    metadata={"kind": "noise_vis"})
     pump, counts, durations, seeds, meta = dataio.read_counts_csv(path)
     assert np.array_equal(pump, [0.1, 0.2])

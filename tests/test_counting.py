@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -74,8 +75,7 @@ def test_simulate_counts_expected_rate():
 def test_monotonicity_of_mean_counts():
     def mean_counts(rate, dark, t):
         chain = MeasurementChain(TELECOM.transmissions, 0.10, dark, t)
-        recs = counting.simulate_sweep([rate] * 500, chain, base_seed=11)
-        return np.mean([r.counts for r in recs])
+        return np.mean(counting.simulate_sweep([rate] * 500, chain, base_seed=11).counts)
 
     by_rate = [mean_counts(r, 340.0, 10.0) for r in (1e3, 1e4, 1e5)]
     by_dark = [mean_counts(1e4, d, 10.0) for d in (10.0, 340.0, 5000.0)]
@@ -117,11 +117,23 @@ def test_normalize_counts_matches_per_point_arithmetic():
         assert batch.sigma_hz[i] == sigma
 
 
+def _per_point(rates, chain, base):
+    """``simulate_sweep`` the reference way: one ``simulate_counts`` per point."""
+    return [counting.simulate_counts(r, chain, counting.derive_seed(base, i))
+            for i, r in enumerate(rates)]
+
+
+def _assert_sweep_equals(sweep, records):
+    assert len(sweep) == len(records)
+    assert sweep.counts.tolist() == [rec.counts for rec in records]
+    assert sweep.seeds.tolist() == [rec.seed for rec in records]
+    assert all(rec.duration_s == sweep.duration_s for rec in records)
+
+
 def test_simulate_sweep_matches_per_point_draws():
     rates = [0.0, 1.0e3, 2.0e4, 5.0e5]
-    expected = [counting.simulate_counts(r, TELECOM, counting.derive_seed(5, i))
-                for i, r in enumerate(rates)]
-    assert counting.simulate_sweep(rates, TELECOM, base_seed=5) == expected
+    _assert_sweep_equals(counting.simulate_sweep(rates, TELECOM, base_seed=5),
+                         _per_point(rates, TELECOM, 5))
     # numpy draws a Poisson mean below 10 by inversion and one at or above
     # 10 by rejection; the sweep must reproduce scalar draws in both
     chain = MeasurementChain(TELECOM.transmissions, 0.10, 0.5, 1.0)
@@ -129,10 +141,80 @@ def test_simulate_sweep_matches_per_point_draws():
     means = counting.expected_counts(rates, chain, 1.0)
     assert means.min() < 10.0 <= means.max()
     base = counting.derive_seed(20210412, 5)
-    expected = [counting.simulate_counts(r, chain, counting.derive_seed(base, i))
-                for i, r in enumerate(rates)]
-    assert counting.simulate_sweep(rates, chain, base) == expected
-    assert counting.simulate_sweep([], chain, base) == []
+    _assert_sweep_equals(counting.simulate_sweep(rates, chain, base),
+                         _per_point(rates, chain, base))
+    _assert_sweep_equals(counting.simulate_sweep([], chain, base), [])
+
+
+# a bare chain: the Poisson mean of each point is its rate
+BARE = MeasurementChain((), 1.0, 0.0, 1.0)
+
+
+def _log_uniform(rng, lo, hi, n):
+    return [10 ** rng.uniform(math.log10(lo), math.log10(hi)) for _ in range(n)]
+
+
+# n means of each range, edge values first
+_MEAN_RANGES = {
+    "below-10": lambda rng, n: ([0.0, 1e-300, 9.999999][:n]
+                                + [rng.uniform(0.0, 10.0) for _ in range(n - 3)]),
+    "10-to-1e3": lambda rng, n: [10.0][:n] + _log_uniform(rng, 10.0, 1e3, n - 1),
+    "700-to-1e7": lambda rng, n: [1e7][:n] + _log_uniform(rng, 700.0, 2e5, n - 1),
+    "mixed": lambda rng, n: [rng.choice([0.0, 0.3, 5.0, 12.0, 3e4, 1e7]) for _ in range(n)],
+}
+
+
+# 4 mean ranges x 4 lengths x 13 bases: 104,052 points
+@pytest.mark.parametrize("n", [0, 1, 12, 2000])
+@pytest.mark.parametrize("kind", list(_MEAN_RANGES))
+def test_sweep_draws_equal_numpy_point_by_point(kind, n):
+    # simulate_counts, one Generator per point, is the reference for every
+    # point, whichever way the sweep draws it
+    rng = random.Random(f"{kind}-{n}")
+    for base in range(13):
+        rates = np.array(_MEAN_RANGES[kind](rng, n))
+        assert len(rates) == n
+        _assert_sweep_equals(counting.simulate_sweep(rates, BARE, base),
+                             _per_point(rates, BARE, base))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 1e19])
+def test_sweep_draw_raises_like_numpy(bad):
+    with pytest.raises(ValueError) as expected:
+        np.random.default_rng(0).poisson(bad)
+    rates = np.full(2000, 500.0)
+    rates[1234] = bad
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        counting.simulate_sweep(rates, BARE, 3)
+
+
+def test_most_points_take_the_array_pass():
+    # the first PTRS try, evaluated as arrays, accepts most points at the
+    # means of a noise sweep, each with numpy's count
+    means = np.linspace(700.0, 2e5, 2000)
+    seeds = counting.derive_seeds(29, len(means))
+    accepted, counts = counting._ptrs_first_try(means, counting._pcg64_words(seeds))
+    assert 0.7 < accepted.mean() < 0.85
+    reference = [int(np.random.default_rng(s).poisson(m))
+                 for s, m in zip(seeds[accepted].tolist(), means[accepted])]
+    assert counts.tolist() == reference
+
+
+@pytest.mark.parametrize("n, fewest, most", [(12, 12, 12), (2000, 200, 600)])
+def test_long_sweeps_draw_most_points_as_arrays(monkeypatch, n, fewest, most):
+    # a short sweep draws every point from its own Generator; a long one
+    # only the points its array pass leaves (about a fifth at these means)
+    made = []
+
+    class CountedSeedWords(counting._SeedWords):
+        def __init__(self, words):
+            made.append(words)
+            super().__init__(words)
+
+    monkeypatch.setattr(counting, "_SeedWords", CountedSeedWords)
+    rates = np.linspace(700.0, 2e5, n)
+    _assert_sweep_equals(counting.simulate_sweep(rates, BARE, 8), _per_point(rates, BARE, 8))
+    assert fewest <= len(made) <= most
 
 
 # a fixed draw of random bases: one word above 32 bits, one above the
@@ -157,8 +239,8 @@ def test_derive_seeds_rejects_negative_base():
 def test_written_seed_column_replays(tmp_path):
     rates = np.linspace(0.0, 5.0e4, 50)
     pump = np.linspace(0.0, 0.44, 50)
-    records = counting.simulate_sweep(rates, TELECOM, base_seed=17)
-    path = dataio.write_counts_csv(pump, records, tmp_path / "counts.csv")
+    sweep = counting.simulate_sweep(rates, TELECOM, base_seed=17)
+    path = dataio.write_counts_csv(pump, sweep, tmp_path / "counts.csv")
     _, counts, durations, seeds, _ = dataio.read_counts_csv(path)
     assert seeds == counting.derive_seeds(17, 50).tolist()
     replayed = [counting.simulate_counts(r, TELECOM, s, duration_s=t).counts
