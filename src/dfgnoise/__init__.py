@@ -19,7 +19,6 @@ from .converter import (
     sfg_partner_wavelength,
     telecom_noise_rate,
     telecom_noise_rate_quadrature,
-    telecom_partner_wavelength,
     visible_noise_rate,
     visible_noise_rate_lowpower,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "ConverterParams", "dfg_efficiency", "dip_depth",
     "peak_pump_power", "photons_per_mode", "rescale_alpha_to_bandwidth",
     "sfg_partner_wavelength", "telecom_noise_rate", "telecom_noise_rate_quadrature",
-    "telecom_partner_wavelength", "visible_noise_rate", "visible_noise_rate_lowpower",
+    "visible_noise_rate", "visible_noise_rate_lowpower",
     "CountRecord", "MeasurementChain", "SweepCounts", "chain_transmission", "expected_counts",
     "normalize_counts", "normalize_to_waveguide", "simulate_counts", "simulate_sweep",
     "FitResult", "PowerSweep", "fit_alpha_linear", "fit_alpha_visible",

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage error, 3 bad configuration or data,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,20 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfgnoise",
@@ -52,8 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate synthetic datasets")
     sim.add_argument("what", choices=_SIMULATE_KINDS)
     add_common(sim)
-    sim.add_argument("--kind", default=None,
-                     help="power-sweep flavor: " + ", ".join(pipelines.NOISE_SWEEP_KINDS))
+    sim.add_argument("--kind", choices=pipelines.NOISE_SWEEP_KINDS, default=None,
+                     help="power-sweep flavor")
     sim.add_argument("--pump-w", type=float, default=None,
                      help="pump power for spectra (default: sweep maximum)")
     sim.add_argument("--collection", choices=("smf", "mmf"), default="smf",
@@ -71,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="detuned telecom counts file (fit noise)")
     fit.add_argument("--visible", metavar="CSV", default=None,
                      help="visible counts file (fit noise)")
-    fit.add_argument("--points", type=int, default=4,
+    fit.add_argument("--points", type=_positive_int, default=4,
                      help="points used by the linear noise fit (default 4)")
     fit.add_argument("--efficiency-fit", metavar="JSON", default=None,
                      help="efficiency fit result fixing the noise-fit shape")
@@ -81,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(rep)
     rep.add_argument("--efficiency-fit", metavar="JSON", default=None)
     rep.add_argument("--noise-fit", metavar="JSON", default=None)
-    rep.add_argument("--bandwidth-hz", type=float, default=1e6,
+    rep.add_argument("--bandwidth-hz", type=_positive_float, default=1e6,
                      help="bandwidth for the rescaled noise figure (default 1 MHz)")
     rep.set_defaults(func=_cmd_report)
 

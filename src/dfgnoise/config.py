@@ -362,7 +362,20 @@ def parse_config(raw: dict, source: str = "<dict>") -> RunConfig:
 class _Loader(yaml.SafeLoader):
     """``yaml.SafeLoader`` that also reads YAML 1.2 floats: an exponent
     without a dot or without a sign (``1e-1``, ``25e9``, ``1.0e9``) is a
-    string under YAML 1.1."""
+    string under YAML 1.1.  A key given twice in one mapping is an error
+    (a merged-in ``<<`` key may still be overridden)."""
+
+    def construct_mapping(self, node, deep=False):
+        key_nodes = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)
+        seen = set()
+        for key_node in key_nodes:
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    problem=f"duplicate key {key!r} on line {key_node.start_mark.line + 1}")
+            seen.add(key)
+        return mapping
 
 
 _Loader.add_implicit_resolver(

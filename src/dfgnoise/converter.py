@@ -41,7 +41,6 @@ __all__ = [
     "visible_noise_rate",
     "visible_noise_rate_lowpower",
     "sfg_partner_wavelength",
-    "telecom_partner_wavelength",
     "photons_per_mode",
     "rescale_alpha_to_bandwidth",
 ]
@@ -159,18 +158,17 @@ def suppression_depth(pump_w, eta_max: float, eta_n: float, length_cm: float):
     return _scalar_or_array(0.5 * eta_max * (1.0 - _sinc(x)))
 
 
-def dip_depth(params: ConverterParams, pump_w, eta_max: float | None = None):
+def dip_depth(params: ConverterParams, pump_w):
     """Noise-dip depth as a fraction of the flat background.
 
-    Uses the internal saturation efficiency by default: noise photons are
-    generated throughout the waveguide and their back-conversion is an
-    internal process.  Pass ``eta_max`` to override.
+    Uses the internal saturation efficiency: noise photons are generated
+    throughout the waveguide and their back-conversion is an internal
+    process.
     """
-    eta = params.eta_max_int if eta_max is None else eta_max
-    return suppression_depth(pump_w, eta, params.eta_n, params.length_cm)
+    return suppression_depth(pump_w, params.eta_max_int, params.eta_n, params.length_cm)
 
 
-def telecom_noise_rate(params: ConverterParams, pump_w, eta_max: float | None = None):
+def telecom_noise_rate(params: ConverterParams, pump_w):
     """Pump-induced noise rate at the telecom wavelength, in Hz.
 
     SPDC alone would give the linear rate alpha_n * P * L; phase-matched
@@ -180,17 +178,16 @@ def telecom_noise_rate(params: ConverterParams, pump_w, eta_max: float | None = 
     """
     p = _check_pump(pump_w)
     base = params.alpha_n * p * params.length_cm
-    depth = dip_depth(params, p, eta_max=eta_max)
+    depth = dip_depth(params, p)
     return _scalar_or_array(base * (1.0 - depth))
 
 
 def telecom_noise_rate_quadrature(
-    params: ConverterParams, pump_w: float, n_steps: int = 100_000,
-    eta_max: float | None = None,
+    params: ConverterParams, pump_w: float, n_steps: int = 100_000
 ):
     """Telecom noise rate by direct numerical integration along the waveguide.
 
-    Integrates alpha_n * P * (1 - eta_max * sin^2(x*sqrt(eta_n*P))) over
+    Integrates alpha_n * P * (1 - eta_max_int * sin^2(x*sqrt(eta_n*P))) over
     x in [0, L] with a composite Simpson rule on ``n_steps`` intervals
     (an even number).  Serves as an independent oracle for
     :func:`telecom_noise_rate`; it never calls the closed form.
@@ -198,16 +195,16 @@ def telecom_noise_rate_quadrature(
     if n_steps < 2 or n_steps % 2:
         raise ParameterError(f"n_steps must be even and at least 2, got {n_steps}")
     p = float(_check_pump(pump_w))
-    eta = params.eta_max_int if eta_max is None else eta_max
+    eta, eta_n = params.eta_max_int, params.eta_n
     x = np.linspace(0.0, params.length_cm, n_steps + 1)
-    integrand = params.alpha_n * p * (1.0 - eta * np.sin(x * np.sqrt(params.eta_n * p)) ** 2)
+    integrand = params.alpha_n * p * (1.0 - eta * np.sin(x * np.sqrt(eta_n * p)) ** 2)
     weights = np.ones(n_steps + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float(weights @ integrand) * (x[1] - x[0]) / 3.0
 
 
-def visible_noise_rate(params: ConverterParams, pump_w, eta_max: float | None = None):
+def visible_noise_rate(params: ConverterParams, pump_w):
     """Noise rate converted back to the visible by SFG, in Hz.
 
     Exactly the photons missing from the telecom rate:
@@ -215,21 +212,19 @@ def visible_noise_rate(params: ConverterParams, pump_w, eta_max: float | None = 
     """
     p = _check_pump(pump_w)
     base = params.alpha_n * p * params.length_cm
-    return _scalar_or_array(base * dip_depth(params, p, eta_max=eta_max))
+    return _scalar_or_array(base * dip_depth(params, p))
 
 
-def visible_noise_rate_lowpower(
-    params: ConverterParams, pump_w, eta_max: float | None = None
-):
+def visible_noise_rate_lowpower(params: ConverterParams, pump_w):
     """Quadratic low-power approximation of the visible noise rate,
-    (1/3) * alpha_n * eta_n * eta_max * L^3 * P^2.
+    (1/3) * alpha_n * eta_n * eta_max_int * L^3 * P^2.
 
     Overestimates the exact rate by about x^2/20 with
     x = 2L*sqrt(eta_n*P): below 2% for x <= 0.63, about 2.5% at x = 0.7.
     """
     p = _check_pump(pump_w)
-    eta = params.eta_max_int if eta_max is None else eta_max
-    rate = params.alpha_n * params.eta_n * eta * params.length_cm**3 * p * p / 3.0
+    rate = (params.alpha_n * params.eta_n * params.eta_max_int * params.length_cm**3
+            * p * p / 3.0)
     return _scalar_or_array(rate)
 
 
@@ -239,19 +234,6 @@ def sfg_partner_wavelength(lambda_pump_nm: float, lambda_tele_nm: float) -> floa
     if lambda_pump_nm <= 0 or lambda_tele_nm <= 0:
         raise ParameterError("wavelengths must be positive")
     return 1.0 / (1.0 / lambda_pump_nm + 1.0 / lambda_tele_nm)
-
-
-def telecom_partner_wavelength(lambda_pump_nm: float, lambda_vis_nm: float) -> float:
-    """Inverse of :func:`sfg_partner_wavelength`: the telecom wavelength whose
-    SFG partner is ``lambda_vis_nm``."""
-    if lambda_pump_nm <= 0 or lambda_vis_nm <= 0:
-        raise ParameterError("wavelengths must be positive")
-    inv = 1.0 / lambda_vis_nm - 1.0 / lambda_pump_nm
-    if inv <= 0:
-        raise ParameterError(
-            "no telecom partner: visible wavelength must be shorter than the pump"
-        )
-    return 1.0 / inv
 
 
 def photons_per_mode(alpha_n: float, bandwidth_hz: float) -> float:

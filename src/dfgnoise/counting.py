@@ -342,16 +342,12 @@ def simulate_counts(
     return CountRecord(counts=int(counts), duration_s=t, seed=int(seed))
 
 
-def simulate_sweep(
-    true_rates_hz,
-    chain: MeasurementChain,
-    base_seed: int,
-    duration_s: float | None = None,
-) -> SweepCounts:
-    """Counting results for a list of rates, one derived seed per point, so
-    the outcome is independent of evaluation order.  Point ``i`` equals
+def simulate_sweep(true_rates_hz, chain: MeasurementChain, base_seed: int) -> SweepCounts:
+    """Counting results for a list of rates over the chain's integration
+    time, one derived seed per point, so the outcome is independent of
+    evaluation order.  Point ``i`` equals
     ``simulate_counts(rate_i, chain, derive_seed(base_seed, i))``."""
-    t = chain.integration_time_s if duration_s is None else duration_s
+    t = chain.integration_time_s
     means = expected_counts(np.asarray(true_rates_hz, dtype=float), chain, t)
     seeds = derive_seeds(base_seed, len(means))
     return SweepCounts(_poisson_draws(means, seeds), t, seeds)

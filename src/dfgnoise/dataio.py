@@ -225,18 +225,14 @@ def write_sweep_csv(sweep: PowerSweep, path: str | Path, metadata: dict | None =
     return path
 
 
-def read_sweep_csv(path: str | Path, kind: str | None = None) -> PowerSweep:
-    """Read a ``pump_w,value,sigma`` dataset; ``kind`` falls back to the
-    sidecar when not given."""
+def read_sweep_csv(path: str | Path, kind: str) -> PowerSweep:
+    """Read a ``pump_w,value,sigma`` dataset of the given sweep ``kind``; a
+    sidecar, when there is one, must not name another kind."""
     path = Path(path)
     p, y, s = _read_columns(path, (("pump_w", float), ("value", float), ("sigma", float)))
-    if kind is None:
-        kind = _read_sidecar(path).get("kind")
-        if kind is None:
-            raise DataFormatError(
-                f"{path}: sweep kind given neither by the caller nor by the sidecar "
-                f"{sidecar_path(path).name}"
-            )
+    recorded = _read_sidecar(path).get("kind", kind)
+    if recorded != kind:
+        raise DataFormatError(f"{sidecar_path(path)}: kind is {recorded!r}, expected {kind!r}")
     return PowerSweep(pump_w=np.array(p), value=np.array(y), sigma=np.array(s), kind=kind)
 
 
@@ -258,11 +254,24 @@ def write_counts_csv(
 
 
 def read_counts_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], dict]:
-    """Read counting data; returns (pump_w, counts, duration_s, seeds, metadata)."""
+    """Read counting data; returns (pump_w, counts, duration_s, seeds, metadata).
+
+    Once every cell converts, the first row with a negative count or a
+    duration that is not a positive finite number is an error.
+    """
     path = Path(path)
     p, c, d, seeds = _read_columns(
         path, (("pump_w", float), ("counts", int), ("duration_s", float), ("seed", int)))
-    return np.array(p), np.array(c), np.array(d), seeds, _read_sidecar(path)
+    counts, durations = np.array(c), np.array(d)
+    bad = (counts < 0) | (durations <= 0) | ~np.isfinite(durations)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if counts[i] < 0:
+            message = f"column 'counts' must be non-negative, got {c[i]!r}"
+        else:
+            message = f"column 'duration_s' must be positive and finite, got {d[i]!r}"
+        raise DataFormatError(f"{path}:{i + 2}: {message}")
+    return np.array(p), counts, durations, seeds, _read_sidecar(path)
 
 
 # ---------------------------------------------------------------- fits

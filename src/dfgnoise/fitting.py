@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import converter
-from .converter import ConverterParams, peak_pump_power, suppression_depth
+from .converter import ConverterParams, suppression_depth
 from .errors import FitFailureError, InsufficientDataError, ParameterError
 
 __all__ = [
@@ -48,6 +48,10 @@ SWEEP_KINDS = (
 )
 
 _MAX_DAMPING = 1e14
+# iteration cap and convergence tolerances of lsq_minimize
+_MAX_ITER = 200
+_FTOL = 1e-10
+_XTOL = 1e-12
 
 
 @dataclass
@@ -122,9 +126,6 @@ def lsq_minimize(
     initial: Sequence[float],
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
     names: Sequence[str] | None = None,
-    max_iter: int = 200,
-    ftol: float = 1e-10,
-    xtol: float = 1e-12,
 ) -> FitResult:
     """Minimize the sum of squared residuals with damped least squares.
 
@@ -135,8 +136,8 @@ def lsq_minimize(
     gradient-descent-like, small damping Gauss-Newton-like.
 
     Convergence is declared when the relative cost change drops below
-    ``ftol`` or the step norm below ``xtol`` (relative to the parameter
-    norm).  After ``max_iter`` iterations the best point found is
+    ``_FTOL`` or the step norm below ``_XTOL`` (relative to the parameter
+    norm).  After ``_MAX_ITER`` iterations the best point found is
     returned with ``converged=False``.  Singular normal equations are
     solved in the least-squares sense and reported in ``message``.
     """
@@ -156,10 +157,10 @@ def lsq_minimize(
     lam = 1e-4
     rank_deficient = False
     converged = False
-    message = f"iteration cap of {max_iter} reached"
+    message = f"iteration cap of {_MAX_ITER} reached"
     n_iter = 0
 
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         jac = jacobian(x) if jacobian is not None else _numeric_jacobian(residual, x, r)
         jac = np.asarray(jac, dtype=float)
         grad = jac.T @ r
@@ -198,11 +199,11 @@ def lsq_minimize(
             converged = True
             message = "residuals vanished"
             break
-        if (prev_cost - cost) < ftol * max(prev_cost, np.finfo(float).tiny):
+        if (prev_cost - cost) < _FTOL * max(prev_cost, np.finfo(float).tiny):
             converged = True
             message = "relative cost change below ftol"
             break
-        if np.linalg.norm(step) < xtol * max(1.0, np.linalg.norm(x)):
+        if np.linalg.norm(step) < _XTOL * max(1.0, np.linalg.norm(x)):
             converged = True
             message = "step norm below xtol"
             break
@@ -444,14 +445,12 @@ def fit_alpha_visible(
 
 @dataclass
 class NoiseCurves:
-    """Model curves for rate-vs-power overlays, all callables of pump power in W.
-    ``peak_pump_w`` is infinite when the efficiency curve has no maximum."""
+    """Model curves for rate-vs-power overlays, all callables of pump power in W."""
 
     telecom_onpeak: Callable[[np.ndarray], np.ndarray]
     telecom_detuned: Callable[[np.ndarray], np.ndarray]
     visible: Callable[[np.ndarray], np.ndarray]
     visible_quadratic: Callable[[np.ndarray], np.ndarray]
-    peak_pump_w: float = 0.0
 
 
 def predict_noise_curves(
@@ -463,15 +462,15 @@ def predict_noise_curves(
     ``alpha_n_visible`` when given (the visible coefficient refers to the
     full dip bandwidth rather than the telecom filter bandwidth), else
     fall back to ``params.alpha_n``.  Detuned from phase matching, no
-    noise is converted back, so the detuned curve is the on-peak one with
-    ``eta_max = 0``: the linear alpha_n * P * L.  No parameter is re-tuned
-    here.
+    noise is converted back, so the detuned curve is the on-peak one of a
+    device with zero efficiencies: the linear alpha_n * P * L.  No
+    parameter is re-tuned here.
     """
     vis_params = params if alpha_n_visible is None else replace(params, alpha_n=alpha_n_visible)
+    detuned = replace(params, eta_max_int=0.0, eta_max_ext=0.0)
     return NoiseCurves(
         telecom_onpeak=lambda p: converter.telecom_noise_rate(params, p),
-        telecom_detuned=lambda p: converter.telecom_noise_rate(params, p, eta_max=0.0),
+        telecom_detuned=lambda p: converter.telecom_noise_rate(detuned, p),
         visible=lambda p: converter.visible_noise_rate(vis_params, p),
         visible_quadratic=lambda p: converter.visible_noise_rate_lowpower(vis_params, p),
-        peak_pump_w=peak_pump_power(params) if params.eta_n > 0 else math.inf,
     )

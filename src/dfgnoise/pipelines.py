@@ -166,9 +166,10 @@ def simulate_visible_spectrum(
     )
 
 
-def visible_in_band_fraction(cfg: RunConfig, collection: str = "smf") -> float:
+def visible_in_band_fraction(cfg: RunConfig) -> float:
     """Fraction of bandpass-filtered visible counts that belong to the
-    fundamental-mode peak, computed from the synthetic spectra."""
+    fundamental-mode peak, computed from the synthetic spectra as collected
+    by the single-mode fiber."""
     vis_params = _vis_params(cfg)
     fundamental = [cfg.modes[0]]
     step = min(m.fwhm_peak_nm for m in cfg.modes) / 20.0
@@ -177,10 +178,9 @@ def visible_in_band_fraction(cfg: RunConfig, collection: str = "smf") -> float:
     grid = np.arange(lo, hi, step)
     # the fraction is pump-independent: every dip shares the same depth factor
     p_ref = cfg.sweep.pump_max_w
-    total = spectra.visible_spectrum(vis_params, cfg.modes, p_ref, grid,
-                                     collection=cfg.collection[collection])
-    target = spectra.visible_spectrum(vis_params, fundamental, p_ref, grid,
-                                      collection=cfg.collection[collection])
+    smf = cfg.collection["smf"]
+    total = spectra.visible_spectrum(vis_params, cfg.modes, p_ref, grid, collection=smf)
+    target = spectra.visible_spectrum(vis_params, fundamental, p_ref, grid, collection=smf)
     return spectra.band_fraction(target, total, cfg.bp_filter)
 
 

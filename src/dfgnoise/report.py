@@ -53,7 +53,9 @@ def build_report(
         alpha_vis = alphas.get("alpha_n_vis", alpha_vis)
         fitted.update(fit_sigmas(noise_fit, "noise fit", alphas))
 
-    p_peak = converter.peak_pump_power(params)
+    # a device with eta_n = 0 converts nothing: its efficiency has no peak
+    peak = (f"{converter.peak_pump_power(params):.4f} W" if params.eta_n > 0
+            else "none (eta_n is zero)")
     p_max = cfg.sweep.pump_max_w
     depth = converter.dip_depth(params, p_max)
     per_mode = converter.photons_per_mode(params.alpha_n, params.bandwidth_ref_hz)
@@ -83,7 +85,7 @@ def build_report(
         f"  alpha_n bandwidth {params.bandwidth_ref_hz:.4g} Hz",
         "",
         "derived figures",
-        f"  peak pump power: {p_peak:.4f} W",
+        f"  peak pump power: {peak}",
         f"  dip depth at {p_max:.2f} W: {depth:.3f}",
         f"  noise per spectro-temporal mode at {params.bandwidth_ref_hz:.3g} Hz: "
         f"{per_mode:.3g} /(W cm)",

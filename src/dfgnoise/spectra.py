@@ -108,17 +108,15 @@ def sfg_mode_from_telecom(
     )
 
 
-def check_mode_energy_conservation(
-    mode: SfgMode, lambda_pump_nm: float, tol_nm: float = 0.05
-) -> None:
+def check_mode_energy_conservation(mode: SfgMode, lambda_pump_nm: float) -> None:
     """Raise if the mode's visible center disagrees with the partner of its
-    telecom center by more than ``tol_nm``."""
+    telecom center by more than 0.05 nm."""
     expected = converter.sfg_partner_wavelength(lambda_pump_nm, mode.lambda_tele_nm)
-    if abs(expected - mode.lambda_vis_nm) > tol_nm:
+    if abs(expected - mode.lambda_vis_nm) > 0.05:
         raise ParameterError(
             f"mode {mode.label}: visible center {mode.lambda_vis_nm} nm is "
             f"{abs(expected - mode.lambda_vis_nm):.3f} nm away from the "
-            f"energy-conservation partner {expected:.3f} nm (tolerance {tol_nm} nm)"
+            f"energy-conservation partner {expected:.3f} nm (tolerance 0.05 nm)"
         )
 
 
@@ -202,32 +200,15 @@ def bandwidth_nm_to_hz(fwhm_nm: float, center_nm: float) -> float:
     return _SPEED_OF_LIGHT_M_S * (fwhm_nm * 1e-9) / (center_nm * 1e-9) ** 2
 
 
-def _background_rate(params, pump_w, eval_bandwidth_hz):
-    base = params.alpha_n * pump_w * params.length_cm
-    if eval_bandwidth_hz is not None:
-        base = converter.rescale_alpha_to_bandwidth(
-            base, params.bandwidth_ref_hz, eval_bandwidth_hz
-        )
-    return base
-
-
 def telecom_spectrum(
-    params: converter.ConverterParams,
-    modes: list[SfgMode],
-    pump_w: float,
-    grid_nm,
-    eval_bandwidth_hz: float | None = None,
-    envelope=None,
+    params: converter.ConverterParams, modes: list[SfgMode], pump_w: float, grid_nm
 ) -> SpectralScan:
     """Intrinsic telecom noise spectrum: flat SPDC background with one
     Gaussian dip per phase-matched mode.
 
-    The background level is alpha_n * P * L, referred to
-    ``eval_bandwidth_hz`` (default: the bandwidth alpha_n was measured
-    in).  Each mode removes the fraction ``dip_depth * relative_strength``
-    at its center.  ``envelope``, if given, is a callable multiplying the
-    background (e.g. a dichroic-mirror transmission roll-off); it is off
-    by default.
+    The background level is alpha_n * P * L, in the bandwidth alpha_n was
+    measured in.  Each mode removes the fraction
+    ``dip_depth * relative_strength`` at its center.
     """
     grid = np.asarray(grid_nm, dtype=float)
     if grid.size == 0:
@@ -246,10 +227,8 @@ def telecom_spectrum(
             f"overlapping dips drive the spectrum negative near {worst:.2f} nm "
             f"(total depth {np.max(total_dip):.3f} > 1)"
         )
-    background = _background_rate(params, pump_w, eval_bandwidth_hz)
+    background = params.alpha_n * pump_w * params.length_cm
     rate = background * (1.0 - total_dip)
-    if envelope is not None:
-        rate = rate * np.asarray(envelope(grid), dtype=float)
     return SpectralScan(wavelength_nm=grid, rate_hz=np.clip(rate, 0.0, None))
 
 
@@ -259,7 +238,6 @@ def visible_spectrum(
     pump_w: float,
     grid_nm,
     collection: dict[str, float] | None = None,
-    eval_bandwidth_hz: float | None = None,
 ) -> SpectralScan:
     """Visible noise spectrum: one Gaussian peak per mode at the partner
     wavelength.
@@ -274,7 +252,7 @@ def visible_spectrum(
     if grid.size == 0:
         raise ParameterError("wavelength grid is empty")
     depth = converter.dip_depth(params, pump_w)
-    background = _background_rate(params, pump_w, eval_bandwidth_hz)
+    background = params.alpha_n * pump_w * params.length_cm
     rate = np.zeros_like(grid)
     for mode in modes:
         removed_area = (

@@ -31,7 +31,7 @@ def test_simulate_efficiency_peak_location(tmp_path, outdir):
     text = cfg_path.read_text().replace("n_points: 12", "n_points: 89")
     cfg_path.write_text(text.replace("efficiency_noise_rel: 0.02", "efficiency_noise_rel: 0.0"))
     assert run("simulate", "efficiency", "--config", str(cfg_path), "--out", str(outdir)) == 0
-    sweep = dataio.read_sweep_csv(outdir / "efficiency_int.csv")
+    sweep = dataio.read_sweep_csv(outdir / "efficiency_int.csv", "efficiency_int")
     p_at_max = sweep.pump_w[np.argmax(sweep.value)]
     assert abs(p_at_max - 0.2448) <= 0.005
 
@@ -80,7 +80,7 @@ def test_emitted_files_reparse_to_identical_bytes(outdir):
     # round-trip precision, so the bytes must match
     assert run("simulate", "efficiency", "--out", str(outdir)) == 0
     path = outdir / "efficiency_int.csv"
-    sweep = dataio.read_sweep_csv(path)
+    sweep = dataio.read_sweep_csv(path, "efficiency_int")
     rewritten = dataio.write_sweep_csv(sweep, outdir / "rewritten.csv")
     assert rewritten.read_bytes() == path.read_bytes()
 
@@ -204,11 +204,11 @@ def test_corrupt_counts_sidecar_exit_code(outdir, corrupt, capsys):
 ])
 @pytest.mark.parametrize("corrupt", [b'{"seed": 1', b"[1, 2]", b"\xff\xfe"])
 def test_corrupt_scan_and_sweep_sidecars_are_data_errors(outdir, what, csv_name, corrupt):
-    # no command reads these sidecars back; the readers raise the error the
-    # CLI maps to exit code 3
+    # the readers raise the error the CLI maps to exit code 3
     assert run("simulate", what, "--out", str(outdir)) == 0
     dataio.sidecar_path(outdir / csv_name).write_bytes(corrupt)
-    reader = dataio.read_scan_csv if what == "telecom-spectrum" else dataio.read_sweep_csv
+    reader = {"telecom-spectrum": dataio.read_scan_csv,
+              "efficiency": lambda path: dataio.read_sweep_csv(path, "efficiency_int")}[what]
     with pytest.raises(DataFormatError):
         reader(outdir / csv_name)
 
@@ -443,6 +443,32 @@ def test_negative_seed_option_is_usage_error(outdir, capsys):
         run("simulate", "efficiency", "--seed", "-1", "--out", str(outdir))
     assert excinfo.value.code == cli.EXIT_USAGE
     assert "--seed: must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["report", "--bandwidth-hz", "nan"], "--bandwidth-hz: must be positive and finite, got nan"),
+    (["fit", "noise", "--detuned", "x.csv", "--points", "0"],
+     "--points: must be a positive integer, got 0"),
+    (["simulate", "power-sweep", "--kind", "bogus"], "--kind: invalid choice: 'bogus'"),
+], ids=["bandwidth-hz", "points", "kind"])
+def test_bad_option_value_is_usage_error(outdir, capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        run(*argv, "--out", str(outdir))
+    assert excinfo.value.code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_report_without_efficiency_maximum(tmp_path, outdir):
+    # eta_n = 0 is a valid device whose efficiency curve has no peak
+    path = tmp_path / "cfg.yaml"
+    path.write_text(write_template(tmp_path / "base.yaml").read_text().replace(
+        "eta_n_per_w_cm2: 0.63", "eta_n_per_w_cm2: 0.0"))
+    assert run("validate-config", "--config", str(path)) == 0
+    assert run("report", "--config", str(path), "--out", str(outdir)) == 0
+    text = (outdir / "report.txt").read_text()
+    assert "peak pump power: none (eta_n is zero)" in text
+    assert "dip depth at 0.44 W: 0.000" in text
 
 
 def test_usage_error_exit_code():

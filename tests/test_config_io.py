@@ -112,6 +112,16 @@ def test_load_config_bad_yaml(tmp_path):
         load_config(path)
 
 
+def test_duplicate_key_rejected(tmp_path, capsys):
+    path = tmp_path / "dup.yaml"
+    path.write_text(DEFAULT_CONFIG_YAML.replace("seed: 20210412", "seed: 1\nseed: 2"))
+    with pytest.raises(ConfigError, match="duplicate key 'seed' on line"):
+        load_config(path)
+    assert cli.main(["validate-config", "--config", str(path)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "duplicate key 'seed'" in err and err.count("\n") == 1
+
+
 def test_scan_grid_generation():
     cfg = default_config()
     grid = cfg.telecom_scan.grid()
@@ -255,7 +265,7 @@ def test_sweep_csv_round_trip(tmp_path):
         "efficiency_int",
     )
     path = dataio.write_sweep_csv(sweep, tmp_path / "sweep.csv")
-    loaded = dataio.read_sweep_csv(path)
+    loaded = dataio.read_sweep_csv(path, "efficiency_int")
     assert loaded.kind == "efficiency_int"
     assert np.array_equal(loaded.pump_w, sweep.pump_w)
     assert np.array_equal(loaded.value, sweep.value)
@@ -318,6 +328,31 @@ def test_wrong_column_count_rejected(tmp_path):
     path.write_text("pump_w,value,sigma\n0.1,0.2\n")
     with pytest.raises(DataFormatError, match="columns"):
         dataio.read_sweep_csv(path, kind="efficiency_int")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.2,-1,10.0,8", "counts.csv:3: column 'counts' must be non-negative, got -1"),
+    ("0.2,5,0.0,8", "counts.csv:3: column 'duration_s' must be positive and finite, got 0.0"),
+    ("0.2,5,-2.5,8", "counts.csv:3: column 'duration_s' must be positive and finite, got -2.5"),
+    ("0.2,5,nan,8", "counts.csv:3: column 'duration_s' must be positive and finite, got nan"),
+    ("0.2,5,inf,8", "counts.csv:3: column 'duration_s' must be positive and finite, got inf"),
+])
+def test_bad_counts_row_rejected(tmp_path, capsys, row, message):
+    path = tmp_path / "counts.csv"
+    path.write_text(f"pump_w,counts,duration_s,seed\n0.1,4,10.0,7\n{row}\n0.3,-6,-1.0,9\n")
+    with pytest.raises(DataFormatError, match=message):
+        dataio.read_counts_csv(path)
+    dataio.sidecar_path(path).write_text('{"kind": "noise_tele_detuned"}')
+    code = cli.main(["fit", "noise", "--detuned", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message.replace('counts.csv', str(path))}\n"
+
+
+def test_sweep_sidecar_of_another_kind_rejected(tmp_path):
+    sweep = PowerSweep([0.1, 0.2], [0.3, 0.4], [0.01, 0.01], "efficiency_ext")
+    path = dataio.write_sweep_csv(sweep, tmp_path / "sweep.csv")
+    with pytest.raises(DataFormatError, match="kind is 'efficiency_ext', expected 'efficiency_int'"):
+        dataio.read_sweep_csv(path, "efficiency_int")
 
 
 def test_empty_file_rejected(tmp_path):

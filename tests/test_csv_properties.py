@@ -5,6 +5,7 @@ counts file never makes ``fit noise`` raise."""
 import contextlib
 import csv
 import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -61,6 +62,16 @@ def _reference_columns(path: Path, kind: str) -> list[list]:
             values = [_parse_float(cell, path, line_no, name) for cell, name in zip(row, header)]
         for column, value in zip(columns, values):
             column.append(value)
+    if kind == "counts":
+        # once every cell converts: a count is non-negative, a duration
+        # positive and finite
+        for line_no, (count, duration) in enumerate(zip(columns[1], columns[2]), start=2):
+            if count < 0:
+                raise DataFormatError(
+                    f"{path}:{line_no}: column 'counts' must be non-negative, got {count!r}")
+            if not 0 < duration < math.inf:
+                raise DataFormatError(f"{path}:{line_no}: column 'duration_s' must be "
+                                      f"positive and finite, got {duration!r}")
     return columns
 
 

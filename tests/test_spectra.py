@@ -84,22 +84,6 @@ def test_telecom_spectrum_overlapping_dips_rejected():
         spectra.telecom_spectrum(deep, doubled, 0.44, np.arange(1540.0, 1542.0, 0.01))
 
 
-def test_telecom_spectrum_bandwidth_rescaling():
-    grid = np.arange(1538.0, 1544.0, 0.01)
-    full = spectra.telecom_spectrum(PARAMS, _modes(), 0.44, grid, eval_bandwidth_hz=50e9)
-    ref = spectra.telecom_spectrum(PARAMS, _modes(), 0.44, grid)
-    assert np.allclose(full.rate_hz, 2.0 * ref.rate_hz, rtol=1e-12)
-
-
-def test_telecom_spectrum_envelope():
-    grid = np.arange(1520.0, 1530.0, 0.01)
-    scan = spectra.telecom_spectrum(
-        PARAMS, _modes(), 0.44, grid, envelope=lambda wl: np.where(wl < 1525.0, 0.5, 1.0)
-    )
-    assert scan.rate_hz[0] == pytest.approx(0.5 * BACKGROUND_044, rel=1e-9)
-    assert scan.rate_hz[-1] == pytest.approx(BACKGROUND_044, rel=1e-9)
-
-
 # ------------------------------------------------------- visible spectrum
 
 def test_visible_spectrum_three_peaks_multimode():
