@@ -48,6 +48,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfgnoise",
@@ -69,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sim)
     sim.add_argument("--kind", choices=pipelines.NOISE_SWEEP_KINDS, default=None,
                      help="power-sweep flavor")
-    sim.add_argument("--pump-w", type=float, default=None,
+    sim.add_argument("--pump-w", type=_non_negative_float, default=None,
                      help="pump power for spectra (default: sweep maximum)")
     sim.add_argument("--collection", choices=("smf", "mmf"), default="smf",
                      help="fiber collection preset for the visible spectrum")

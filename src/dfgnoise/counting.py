@@ -329,15 +329,10 @@ def expected_counts(true_rate_hz, chain: MeasurementChain, duration_s: float):
     return (true_rate_hz * chain_transmission(chain) + chain.dark_rate_hz) * duration_s
 
 
-def simulate_counts(
-    true_rate_hz: float,
-    chain: MeasurementChain,
-    seed: int,
-    duration_s: float | None = None,
-) -> CountRecord:
-    """Draw detected counts for a given waveguide-output rate.  Identical
-    seeds give identical counts."""
-    t = chain.integration_time_s if duration_s is None else duration_s
+def simulate_counts(true_rate_hz: float, chain: MeasurementChain, seed: int) -> CountRecord:
+    """Draw detected counts for a given waveguide-output rate over the
+    chain's integration time.  Identical seeds give identical counts."""
+    t = chain.integration_time_s
     counts = np.random.default_rng(seed).poisson(expected_counts(true_rate_hz, chain, t))
     return CountRecord(counts=int(counts), duration_s=t, seed=int(seed))
 

@@ -35,8 +35,7 @@ __all__ = [
     "read_fit_json",
     "apply_efficiency_fit",
     "efficiency_fit_covariance",
-    "noise_fit_coefficients",
-    "fit_sigmas",
+    "fitted_values",
     "write_residual_csv",
     "sha256_digest",
     "sidecar_path",
@@ -49,11 +48,17 @@ def _floats(column) -> list[float]:
     return np.asarray(column, dtype=float).tolist()
 
 
-def _write_rows(path: Path, header: str, *columns) -> None:
+def _write_table(path: str | Path, header: str, columns, sidecar: dict | None = None) -> Path:
     """Write a CSV of a header line and one row per position of the
-    (equally long) columns of Python numbers, each written with ``repr``."""
+    (equally long) ``columns`` of Python numbers, each written with
+    ``repr``, plus the JSON ``sidecar`` when one is given."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     rows = (",".join(map(repr, row)) for row in zip(*columns))
     path.write_text("\n".join([header, *rows]) + "\n")
+    if sidecar is not None:
+        _write_json(sidecar_path(path), sidecar)
+    return path
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -107,22 +112,33 @@ def _read_sidecar(path: Path) -> dict:
     return _read_json(meta_file) if meta_file.exists() else {}
 
 
-def sidecar_number(path: Path, meta: dict, key: str, default: float) -> float:
-    """The number under ``key`` in the parsed sidecar ``meta`` of the data
-    file ``path``; ``default`` when the key is absent."""
-    value = meta.get(key, default)
+# marks a required key that is absent from a JSON object
+_MISSING = object()
+
+
+def _object(label: str, payload: dict, key: str) -> dict:
+    """The JSON object under ``key`` of ``payload`` (read from ``label``);
+    empty when the key is absent."""
+    value = payload.get(key, {})
+    if not isinstance(value, dict):
+        raise DataFormatError(f"{label}: {key} is not an object: {value!r}")
+    return value
+
+
+def _number(label: str, name: str, value) -> float:
+    """``value``, the JSON value ``name`` read from ``label``, as a float;
+    it must be a finite number, and ``_MISSING`` means it is absent."""
+    if value is _MISSING:
+        raise DataFormatError(f"{label} lacks the key {name}")
     if not _is_finite(value):
-        raise DataFormatError(f"{sidecar_path(path)}: {key} is not a finite number: {value!r}")
+        raise DataFormatError(f"{label}: {name} is not a finite number: {value!r}")
     return float(value)
 
 
-def _parse_float(row_value: str, path: Path, line_no: int, column: str) -> float:
-    try:
-        return float(row_value)
-    except (TypeError, ValueError):
-        raise DataFormatError(
-            f"{path}:{line_no}: column '{column}' is not a number: {row_value!r}"
-        ) from None
+def sidecar_number(path: Path, meta: dict, key: str, default: float) -> float:
+    """The number under ``key`` in the parsed sidecar ``meta`` of the data
+    file ``path``; ``default`` when the key is absent."""
+    return _number(str(sidecar_path(path)), key, meta.get(key, default))
 
 
 def _check_row(row: list[str], columns, path: Path, line_no: int) -> None:
@@ -131,7 +147,11 @@ def _check_row(row: list[str], columns, path: Path, line_no: int) -> None:
     int_cells = [cell for (_, kind), cell in zip(columns, row) if kind is int]
     for (name, kind), cell in zip(columns, row):
         if kind is float:
-            _parse_float(cell, path, line_no, name)
+            try:
+                float(cell)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{line_no}: column '{name}' is not a number: {cell!r}") from None
             continue
         try:
             list(map(int, int_cells))
@@ -181,18 +201,10 @@ def _read_columns(path: Path, columns) -> list[list]:
 
 def write_scan_csv(scan: SpectralScan, path: str | Path, metadata: dict | None = None) -> Path:
     """Write a spectral scan as CSV plus a JSON metadata sidecar."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_rows(path, "wavelength_nm,rate_hz", _floats(scan.wavelength_nm), _floats(scan.rate_hz))
-    payload = {
-        "filter_fwhm_nm": scan.filter_fwhm_nm,
-        "step_nm": scan.step_nm,
-        "integration_time_s": scan.integration_time_s,
-    }
-    if metadata:
-        payload.update(metadata)
-    _write_json(sidecar_path(path), payload)
-    return path
+    return _write_table(
+        path, "wavelength_nm,rate_hz", (_floats(scan.wavelength_nm), _floats(scan.rate_hz)),
+        {"filter_fwhm_nm": scan.filter_fwhm_nm, "step_nm": scan.step_nm,
+         "integration_time_s": scan.integration_time_s, **(metadata or {})})
 
 
 def read_scan_csv(path: str | Path) -> tuple[SpectralScan, dict]:
@@ -214,15 +226,10 @@ def read_scan_csv(path: str | Path) -> tuple[SpectralScan, dict]:
 
 def write_sweep_csv(sweep: PowerSweep, path: str | Path, metadata: dict | None = None) -> Path:
     """Write a value-vs-power dataset (``pump_w,value,sigma``) plus sidecar."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_rows(path, "pump_w,value,sigma",
-                _floats(sweep.pump_w), _floats(sweep.value), _floats(sweep.sigma))
-    payload = {"kind": sweep.kind}
-    if metadata:
-        payload.update(metadata)
-    _write_json(sidecar_path(path), payload)
-    return path
+    return _write_table(
+        path, "pump_w,value,sigma",
+        (_floats(sweep.pump_w), _floats(sweep.value), _floats(sweep.sigma)),
+        {"kind": sweep.kind, **(metadata or {})})
 
 
 def read_sweep_csv(path: str | Path, kind: str) -> PowerSweep:
@@ -242,36 +249,36 @@ def write_counts_csv(
     pump_w, sweep: SweepCounts, path: str | Path, metadata: dict | None = None
 ) -> Path:
     """Write raw counting data (``pump_w,counts,duration_s,seed``) plus sidecar."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_rows(path, "pump_w,counts,duration_s,seed", _floats(pump_w),
-                sweep.counts.tolist(), [float(sweep.duration_s)] * len(sweep),
-                sweep.seeds.tolist())
-    if metadata is None:
-        metadata = {}
-    _write_json(sidecar_path(path), metadata)
-    return path
+    return _write_table(
+        path, "pump_w,counts,duration_s,seed",
+        (_floats(pump_w), sweep.counts.tolist(), [float(sweep.duration_s)] * len(sweep),
+         sweep.seeds.tolist()),
+        metadata or {})
 
 
 def read_counts_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], dict]:
     """Read counting data; returns (pump_w, counts, duration_s, seeds, metadata).
 
-    Once every cell converts, the first row with a negative count or a
-    duration that is not a positive finite number is an error.
+    Once every cell converts, the first row with a pump power that is not
+    a non-negative finite number, a negative count or a duration that is
+    not a positive finite number is an error.
     """
     path = Path(path)
     p, c, d, seeds = _read_columns(
         path, (("pump_w", float), ("counts", int), ("duration_s", float), ("seed", int)))
-    counts, durations = np.array(c), np.array(d)
-    bad = (counts < 0) | (durations <= 0) | ~np.isfinite(durations)
+    pump_w, counts, durations = np.array(p), np.array(c), np.array(d)
+    bad_pump = ~((pump_w >= 0) & (pump_w < np.inf))
+    bad = bad_pump | (counts < 0) | ~((durations > 0) & (durations < np.inf))
     if bad.any():
         i = int(np.argmax(bad))
-        if counts[i] < 0:
+        if bad_pump[i]:
+            message = f"column 'pump_w' must be finite and non-negative, got {p[i]!r}"
+        elif counts[i] < 0:
             message = f"column 'counts' must be non-negative, got {c[i]!r}"
         else:
             message = f"column 'duration_s' must be positive and finite, got {d[i]!r}"
         raise DataFormatError(f"{path}:{i + 2}: {message}")
-    return np.array(p), counts, durations, seeds, _read_sidecar(path)
+    return pump_w, counts, durations, seeds, _read_sidecar(path)
 
 
 # ---------------------------------------------------------------- fits
@@ -316,26 +323,20 @@ _EFFICIENCY_PARAMETERS = ["eta_max_int", "eta_max_ext", "eta_n"]
 def apply_efficiency_fit(params: ConverterParams, fit: dict) -> ConverterParams:
     """``params`` with the efficiencies and conversion parameter of a parsed
     efficiency-fit payload (see :func:`write_fit_json`) swapped in."""
-    fitted = fit.get("parameters")
-    if not isinstance(fitted, dict):
-        fitted = {}
-    values = {}
-    for key in _EFFICIENCY_PARAMETERS:
-        if key not in fitted:
-            raise DataFormatError(f"efficiency fit lacks the key parameters.{key}")
-        if not _is_finite(fitted[key]):
-            raise DataFormatError(
-                f"efficiency fit: parameters.{key} is not a finite number: {fitted[key]!r}")
-        values[key] = fitted[key]
-    return replace(params, **values)
+    fitted = _object("efficiency fit", fit, "parameters")
+    return replace(params, **{
+        key: _number("efficiency fit", f"parameters.{key}", fitted.get(key, _MISSING))
+        for key in _EFFICIENCY_PARAMETERS})
 
 
-def efficiency_fit_covariance(fit: dict) -> np.ndarray | None:
-    """The 3x3 covariance of a parsed efficiency-fit payload, ordered
-    (eta_max_int, eta_max_ext, eta_n); None when the payload orders its
-    parameters differently."""
-    if fit.get("parameter_order") != _EFFICIENCY_PARAMETERS:
-        return None
+def efficiency_fit_covariance(fit: dict) -> np.ndarray:
+    """The 3x3 covariance of a parsed efficiency-fit payload, whose
+    ``parameter_order`` must be (eta_max_int, eta_max_ext, eta_n)."""
+    order = fit.get("parameter_order")
+    if order != _EFFICIENCY_PARAMETERS:
+        raise DataFormatError(
+            f"efficiency fit: parameter_order must be {', '.join(_EFFICIENCY_PARAMETERS)}, "
+            f"got {order!r}")
     rows = fit.get("covariance")
     if not (isinstance(rows, list) and len(rows) == 3
             and all(isinstance(row, list) and len(row) == 3 and all(map(_is_finite, row))
@@ -344,43 +345,23 @@ def efficiency_fit_covariance(fit: dict) -> np.ndarray | None:
     return np.array(rows, dtype=float)
 
 
-def noise_fit_coefficients(fit: dict) -> dict[str, float]:
-    """The noise coefficients (``alpha_n_tele``, ``alpha_n_vis``) a parsed
-    noise-fit payload holds; either may be absent."""
-    fitted = fit.get("parameters", {})
-    if not isinstance(fitted, dict):
-        raise DataFormatError(f"noise fit: parameters is not an object: {fitted!r}")
-    values = {}
-    for key in ("alpha_n_tele", "alpha_n_vis"):
-        if key in fitted:
-            if not _is_finite(fitted[key]):
-                raise DataFormatError(
-                    f"noise fit: parameters.{key} is not a finite number: {fitted[key]!r}")
-            values[key] = fitted[key]
-    return values
-
-
-def fit_sigmas(fit: dict, label: str, keys) -> dict[str, float | None]:
-    """The uncertainties of ``keys`` in a parsed fit payload (see
-    :func:`write_fit_json`), labelled ``label`` in messages; an absent or
-    null sigma (a non-finite one is written as null) maps to None."""
-    sigmas = fit.get("sigmas", {})
-    if not isinstance(sigmas, dict):
-        raise DataFormatError(f"{label}: sigmas is not an object: {sigmas!r}")
-    values = {}
-    for key in keys:
-        value = sigmas.get(key)
-        if value is not None and not _is_finite(value):
-            raise DataFormatError(f"{label}: sigmas.{key} is not a finite number: {value!r}")
-        values[key] = value
-    return values
+def fitted_values(fit: dict, label: str, keys) -> tuple[dict[str, float], dict[str, float | None]]:
+    """The fitted values of those ``keys`` that a parsed fit payload (see
+    :func:`write_fit_json`, labelled ``label`` in messages) holds under
+    ``parameters``, and their uncertainties; an absent or null sigma (a
+    non-finite one is written as null) maps to None."""
+    fitted = _object(label, fit, "parameters")
+    values = {key: _number(label, f"parameters.{key}", fitted[key])
+              for key in keys if key in fitted}
+    sigmas = _object(label, fit, "sigmas")
+    return values, {
+        key: None if sigmas.get(key) is None else _number(label, f"sigmas.{key}", sigmas[key])
+        for key in values}
 
 
 def write_residual_csv(path: str | Path, pump_w, value, model, sigma) -> Path:
     """Residual table accompanying a fit."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     value, model = np.asarray(value, dtype=float), np.asarray(model, dtype=float)
-    _write_rows(path, "pump_w,value,model,residual,sigma", _floats(pump_w),
-                _floats(value), _floats(model), _floats(value - model), _floats(sigma))
-    return path
+    return _write_table(path, "pump_w,value,model,residual,sigma",
+                        (_floats(pump_w), _floats(value), _floats(model),
+                         _floats(value - model), _floats(sigma)))

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from . import converter
 from .config import RunConfig
-from .dataio import apply_efficiency_fit, fit_sigmas, noise_fit_coefficients
+from .dataio import apply_efficiency_fit, fitted_values
 
 __all__ = ["build_report"]
 
@@ -45,13 +45,14 @@ def build_report(
     fitted = {}  # sigma (or None) of each fitted parameter
     if efficiency_fit is not None:
         params = apply_efficiency_fit(params, efficiency_fit)
-        fitted.update(fit_sigmas(efficiency_fit, "efficiency fit",
-                                 ("eta_max_int", "eta_max_ext", "eta_n")))
+        _, sigmas = fitted_values(efficiency_fit, "efficiency fit",
+                                  ("eta_max_int", "eta_max_ext", "eta_n"))
+        fitted.update(sigmas)
     if noise_fit is not None:
-        alphas = noise_fit_coefficients(noise_fit)
+        alphas, sigmas = fitted_values(noise_fit, "noise fit", ("alpha_n_tele", "alpha_n_vis"))
         params = replace(params, alpha_n=alphas.get("alpha_n_tele", params.alpha_n))
         alpha_vis = alphas.get("alpha_n_vis", alpha_vis)
-        fitted.update(fit_sigmas(noise_fit, "noise fit", alphas))
+        fitted.update(sigmas)
 
     # a device with eta_n = 0 converts nothing: its efficiency has no peak
     peak = (f"{converter.peak_pump_power(params):.4f} W" if params.eta_n > 0

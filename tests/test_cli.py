@@ -269,6 +269,30 @@ def test_efficiency_fit_malformed_covariance_exit_code(outdir, covariance, capsy
     assert "covariance must be a finite 3x3 matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", [None, ["eta_n", "eta_max_int", "eta_max_ext"]],
+                         ids=["missing", "reordered"])
+def test_efficiency_fit_parameter_order_exit_code(outdir, order, capsys):
+    # without the order the covariance cannot be placed; dropping it would
+    # understate the visible coefficient's uncertainty
+    assert run("simulate", "efficiency", "--out", str(outdir)) == 0
+    assert run("fit", "efficiency", "--internal", str(outdir / "efficiency_int.csv"),
+               "--external", str(outdir / "efficiency_ext.csv"), "--out", str(outdir)) == 0
+    assert run("simulate", "power-sweep", "--kind", "noise_vis", "--out", str(outdir)) == 0
+    fit_path = outdir / "fit_efficiency.json"
+    payload = json.loads(fit_path.read_text())
+    if order is None:
+        del payload["parameter_order"]
+    else:
+        payload["parameter_order"] = order
+    fit_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run("fit", "noise", "--visible", str(outdir / "sweep_noise_vis.csv"),
+               "--efficiency-fit", str(fit_path), "--out", str(outdir))
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: efficiency fit: parameter_order must be ")
+    assert not (outdir / "fit_noise.json").exists()
+
+
 def test_fit_nonconvergence_exit_code(outdir, monkeypatch):
     from dfgnoise import pipelines
     from dfgnoise.fitting import FitResult
@@ -450,7 +474,13 @@ def test_negative_seed_option_is_usage_error(outdir, capsys):
     (["fit", "noise", "--detuned", "x.csv", "--points", "0"],
      "--points: must be a positive integer, got 0"),
     (["simulate", "power-sweep", "--kind", "bogus"], "--kind: invalid choice: 'bogus'"),
-], ids=["bandwidth-hz", "points", "kind"])
+    (["simulate", "telecom-spectrum", "--pump-w", "nan"],
+     "--pump-w: must be finite and non-negative, got nan"),
+    (["simulate", "visible-spectrum", "--pump-w", "-1"],
+     "--pump-w: must be finite and non-negative, got -1.0"),
+    (["simulate", "telecom-spectrum", "--pump-w", "inf"],
+     "--pump-w: must be finite and non-negative, got inf"),
+], ids=["bandwidth-hz", "points", "kind", "pump-w-nan", "pump-w-negative", "pump-w-inf"])
 def test_bad_option_value_is_usage_error(outdir, capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
         run(*argv, "--out", str(outdir))

@@ -336,6 +336,11 @@ def test_wrong_column_count_rejected(tmp_path):
     ("0.2,5,-2.5,8", "counts.csv:3: column 'duration_s' must be positive and finite, got -2.5"),
     ("0.2,5,nan,8", "counts.csv:3: column 'duration_s' must be positive and finite, got nan"),
     ("0.2,5,inf,8", "counts.csv:3: column 'duration_s' must be positive and finite, got inf"),
+    ("nan,5,10.0,8", "counts.csv:3: column 'pump_w' must be finite and non-negative, got nan"),
+    ("-0.5,5,10.0,8", "counts.csv:3: column 'pump_w' must be finite and non-negative, got -0.5"),
+    ("inf,5,10.0,8", "counts.csv:3: column 'pump_w' must be finite and non-negative, got inf"),
+    # within a row, the pump power is checked before the count and duration
+    ("-0.5,-1,0.0,8", "counts.csv:3: column 'pump_w' must be finite and non-negative, got -0.5"),
 ])
 def test_bad_counts_row_rejected(tmp_path, capsys, row, message):
     path = tmp_path / "counts.csv"

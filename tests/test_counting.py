@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,8 +66,9 @@ def test_simulate_counts_dark_only_mean():
 def test_simulate_counts_expected_rate():
     # 5 kHz through 3% transmission plus 340 Hz dark: 490 counts/s
     n = 4000
+    one_second = replace(TELECOM, integration_time_s=1.0)
     counts = [
-        counting.simulate_counts(5000.0, TELECOM, counting.derive_seed(3, i), duration_s=1.0).counts
+        counting.simulate_counts(5000.0, one_second, counting.derive_seed(3, i)).counts
         for i in range(n)
     ]
     assert np.mean(counts) == pytest.approx(490.0, abs=3.0 * np.sqrt(490.0 / n))
@@ -243,8 +245,8 @@ def test_written_seed_column_replays(tmp_path):
     path = dataio.write_counts_csv(pump, sweep, tmp_path / "counts.csv")
     _, counts, durations, seeds, _ = dataio.read_counts_csv(path)
     assert seeds == counting.derive_seeds(17, 50).tolist()
-    replayed = [counting.simulate_counts(r, TELECOM, s, duration_s=t).counts
-                for r, s, t in zip(rates, seeds, durations)]
+    assert (durations == TELECOM.integration_time_s).all()
+    replayed = [counting.simulate_counts(r, TELECOM, s).counts for r, s in zip(rates, seeds)]
     assert replayed == counts.tolist()
 
 

@@ -63,9 +63,12 @@ def _reference_columns(path: Path, kind: str) -> list[list]:
         for column, value in zip(columns, values):
             column.append(value)
     if kind == "counts":
-        # once every cell converts: a count is non-negative, a duration
-        # positive and finite
-        for line_no, (count, duration) in enumerate(zip(columns[1], columns[2]), start=2):
+        # once every cell converts: a pump power is non-negative and finite,
+        # a count non-negative, a duration positive and finite
+        for line_no, (pump, count, duration) in enumerate(zip(*columns[:3]), start=2):
+            if not 0 <= pump < math.inf:
+                raise DataFormatError(f"{path}:{line_no}: column 'pump_w' must be "
+                                      f"finite and non-negative, got {pump!r}")
             if count < 0:
                 raise DataFormatError(
                     f"{path}:{line_no}: column 'counts' must be non-negative, got {count!r}")
