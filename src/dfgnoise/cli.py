@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: ``simulate``, ``fit``, ``report``, ``validate-config``.
+Commands: ``simulate efficiency|telecom-spectrum|visible-spectrum|power-sweep``,
+``fit efficiency|noise``, ``report`` and ``validate-config``; each takes
+only the options it reads, after its name.
 Exit codes: 0 success, 2 usage error, 3 bad configuration or data,
 4 fit non-convergence.
 """
@@ -22,8 +24,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NO_CONVERGENCE = 4
-
-_SIMULATE_KINDS = ("efficiency", "telecom-spectrum", "visible-spectrum", "power-sweep")
 
 
 def _seed(text: str) -> int:
@@ -55,6 +55,22 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
+def _command(commands, name: str, func, help: str, *, seed: bool = False, out: bool = True,
+             **defaults) -> argparse.ArgumentParser:
+    """A command taking ``--config`` and, when asked, ``--seed`` and ``--out``;
+    ``func`` runs it, with ``defaults`` set on the parsed arguments."""
+    p = commands.add_parser(name, help=help)
+    p.add_argument("--config", metavar="PATH", default=None,
+                   help="YAML run configuration (default: built-in reference device)")
+    if seed:
+        p.add_argument("--seed", type=_seed, default=None, help="override the configured RNG seed")
+    if out:
+        p.add_argument("--out", metavar="DIR", default=None,
+                       help="output directory (default: from config)")
+    p.set_defaults(func=func, **defaults)
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfgnoise",
@@ -63,104 +79,75 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", metavar="PATH", default=None,
-                       help="YAML run configuration (default: built-in reference device)")
-        p.add_argument("--seed", type=_seed, default=None,
-                       help="override the configured RNG seed")
-        p.add_argument("--out", metavar="DIR", default=None,
-                       help="output directory (default: from config)")
+    # ``write(args, cfg, seed, out_dir)`` of a simulate command returns the written paths
+    sim = sub.add_parser("simulate", help="generate synthetic datasets").add_subparsers(
+        dest="what", required=True)
+    _command(sim, "efficiency", _cmd_simulate, "internal and external efficiency sweeps",
+             seed=True, write=lambda args, *run: pipelines.simulate_efficiency(*run))
+    tele = _command(sim, "telecom-spectrum", _cmd_simulate, "telecom noise scan", seed=True,
+                    write=lambda args, *run: [pipelines.simulate_telecom_spectrum(
+                        *run, pump_w=args.pump_w)])
+    vis = _command(sim, "visible-spectrum", _cmd_simulate, "visible noise scan", seed=True,
+                   write=lambda args, *run: [pipelines.simulate_visible_spectrum(
+                       *run, pump_w=args.pump_w, collection=args.collection)])
+    for scan in (tele, vis):
+        scan.add_argument("--pump-w", type=_non_negative_float, default=None,
+                          help="pump power (default: sweep maximum)")
+    vis.add_argument("--collection", choices=("smf", "mmf"), default="smf",
+                     help="fiber collection preset (default smf)")
+    sweep = _command(sim, "power-sweep", _cmd_simulate, "raw counts of one noise sweep",
+                     seed=True, write=lambda args, *run: [pipelines.simulate_power_sweep(
+                         *run, kind=args.kind)])
+    sweep.add_argument("--kind", choices=pipelines.NOISE_SWEEP_KINDS, required=True,
+                       help="power-sweep flavor")
 
-    sim = sub.add_parser("simulate", help="generate synthetic datasets")
-    sim.add_argument("what", choices=_SIMULATE_KINDS)
-    add_common(sim)
-    sim.add_argument("--kind", choices=pipelines.NOISE_SWEEP_KINDS, default=None,
-                     help="power-sweep flavor")
-    sim.add_argument("--pump-w", type=_non_negative_float, default=None,
-                     help="pump power for spectra (default: sweep maximum)")
-    sim.add_argument("--collection", choices=("smf", "mmf"), default="smf",
-                     help="fiber collection preset for the visible spectrum")
-    sim.set_defaults(func=_cmd_simulate)
+    fit = sub.add_parser("fit", help="run a parameter fit on data files").add_subparsers(
+        dest="what", required=True)
+    eff = _command(fit, "efficiency", _cmd_fit_efficiency, "shared-parameter efficiency fit")
+    eff.add_argument("--internal", metavar="CSV", type=Path, required=True,
+                     help="internal efficiency sweep")
+    eff.add_argument("--external", metavar="CSV", type=Path, required=True,
+                     help="external efficiency sweep")
+    noise = _command(fit, "noise", _cmd_fit_noise, "noise-coefficient fits")
+    noise.set_defaults(usage_error=noise.error)
+    noise.add_argument("--detuned", metavar="CSV", type=Path, default=None,
+                       help="detuned telecom counts file")
+    noise.add_argument("--visible", metavar="CSV", type=Path, default=None,
+                       help="visible counts file")
+    noise.add_argument("--points", type=_positive_int, default=4,
+                       help="points used by the linear noise fit (default 4)")
+    noise.add_argument("--efficiency-fit", metavar="JSON", default=None,
+                       help="efficiency fit result fixing the noise-fit shape")
 
-    fit = sub.add_parser("fit", help="run a parameter fit on data files")
-    fit.add_argument("what", choices=("efficiency", "noise"))
-    add_common(fit)
-    fit.add_argument("--internal", metavar="CSV", default=None,
-                     help="internal efficiency sweep (fit efficiency)")
-    fit.add_argument("--external", metavar="CSV", default=None,
-                     help="external efficiency sweep (fit efficiency)")
-    fit.add_argument("--detuned", metavar="CSV", default=None,
-                     help="detuned telecom counts file (fit noise)")
-    fit.add_argument("--visible", metavar="CSV", default=None,
-                     help="visible counts file (fit noise)")
-    fit.add_argument("--points", type=_positive_int, default=4,
-                     help="points used by the linear noise fit (default 4)")
-    fit.add_argument("--efficiency-fit", metavar="JSON", default=None,
-                     help="efficiency fit result fixing the noise-fit shape")
-    fit.set_defaults(func=_cmd_fit)
-
-    rep = sub.add_parser("report", help="summarize device parameters and figures")
-    add_common(rep)
+    rep = _command(sub, "report", _cmd_report, "summarize device parameters and figures")
     rep.add_argument("--efficiency-fit", metavar="JSON", default=None)
     rep.add_argument("--noise-fit", metavar="JSON", default=None)
     rep.add_argument("--bandwidth-hz", type=_positive_float, default=1e6,
                      help="bandwidth for the rescaled noise figure (default 1 MHz)")
-    rep.set_defaults(func=_cmd_report)
 
-    val = sub.add_parser("validate-config", help="check a configuration file")
-    val.add_argument("--config", metavar="PATH", default=None)
+    val = _command(sub, "validate-config", _cmd_validate, "check a configuration file", out=False)
     val.add_argument("--write-template", metavar="PATH", default=None,
                      help="write the commented reference configuration and exit")
-    val.set_defaults(func=_cmd_validate)
-
     return parser
 
 
 def _resolve(args):
+    """The configuration and the output directory, created."""
     cfg = load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
     out_dir = Path(cfg.output_dir if args.out is None else args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, seed, out_dir
+    return cfg, out_dir
 
 
 def _cmd_simulate(args) -> int:
-    cfg, seed, out_dir = _resolve(args)
-    if args.what == "efficiency":
-        paths = pipelines.simulate_efficiency(cfg, seed, out_dir)
-    elif args.what == "telecom-spectrum":
-        paths = [pipelines.simulate_telecom_spectrum(cfg, seed, out_dir, pump_w=args.pump_w)]
-    elif args.what == "visible-spectrum":
-        paths = [pipelines.simulate_visible_spectrum(
-            cfg, seed, out_dir, pump_w=args.pump_w, collection=args.collection)]
-    else:
-        if args.kind is None:
-            print("simulate power-sweep requires --kind", file=sys.stderr)
-            return EXIT_USAGE
-        paths = [pipelines.simulate_power_sweep(cfg, seed, out_dir, kind=args.kind)]
-    for p in paths:
+    cfg, out_dir = _resolve(args)
+    seed = cfg.seed if args.seed is None else args.seed
+    for p in args.write(args, cfg, seed, out_dir):
         print(f"wrote {p}")
     return EXIT_OK
 
 
-def _cmd_fit(args) -> int:
-    cfg, _, out_dir = _resolve(args)
-    if args.what == "efficiency":
-        if args.internal is None or args.external is None:
-            print("fit efficiency requires --internal and --external", file=sys.stderr)
-            return EXIT_USAGE
-        result, path = pipelines.run_fit_efficiency(
-            cfg, Path(args.internal), Path(args.external), out_dir)
-    else:
-        if args.detuned is None and args.visible is None:
-            print("fit noise requires --detuned and/or --visible", file=sys.stderr)
-            return EXIT_USAGE
-        eff = read_fit_json(args.efficiency_fit) if args.efficiency_fit else None
-        result, path = pipelines.run_fit_noise(
-            cfg, out_dir,
-            detuned_path=Path(args.detuned) if args.detuned else None,
-            visible_path=Path(args.visible) if args.visible else None,
-            n_points=args.points, efficiency_fit=eff)
+def _fit_outcome(result, path) -> int:
     for name in result.names:
         print(f"{name} = {result.values[name]:.6g} +/- {result.sigmas[name]:.3g}")
     print(f"wrote {path}")
@@ -170,8 +157,23 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _cmd_fit_efficiency(args) -> int:
+    cfg, out_dir = _resolve(args)
+    return _fit_outcome(*pipelines.run_fit_efficiency(cfg, args.internal, args.external, out_dir))
+
+
+def _cmd_fit_noise(args) -> int:
+    if args.detuned is None and args.visible is None:
+        args.usage_error("one of the arguments --detuned --visible is required")
+    cfg, out_dir = _resolve(args)
+    eff = read_fit_json(args.efficiency_fit) if args.efficiency_fit else None
+    return _fit_outcome(*pipelines.run_fit_noise(
+        cfg, out_dir, detuned_path=args.detuned, visible_path=args.visible,
+        n_points=args.points, efficiency_fit=eff))
+
+
 def _cmd_report(args) -> int:
-    cfg, _, out_dir = _resolve(args)
+    cfg, out_dir = _resolve(args)
     eff = read_fit_json(args.efficiency_fit) if args.efficiency_fit else None
     noise = read_fit_json(args.noise_fit) if args.noise_fit else None
     text = build_report(cfg, efficiency_fit=eff, noise_fit=noise,
@@ -202,10 +204,7 @@ def main(argv=None) -> int:
     except FitFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except DfgNoiseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DfgNoiseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -197,6 +197,17 @@ def _read_columns(path: Path, columns) -> list[list]:
     raise AssertionError(f"{path}: a column failed to convert, but no row did")
 
 
+def _check_ranges(path: Path, checks) -> None:
+    """Raise the error of the first row, and within it of the first of
+    ``checks`` in order, whose cell breaks its rule; each check is (column
+    name, Python values, mask of the good cells, the rule in words)."""
+    bad = ~np.all([ok for _, _, ok, _ in checks], axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        name, values, _, rule = next(check for check in checks if not check[2][i])
+        raise DataFormatError(f"{path}:{i + 2}: column '{name}' must be {rule}, got {values[i]!r}")
+
+
 # ---------------------------------------------------------------- scans
 
 def write_scan_csv(scan: SpectralScan, path: str | Path, metadata: dict | None = None) -> Path:
@@ -234,13 +245,24 @@ def write_sweep_csv(sweep: PowerSweep, path: str | Path, metadata: dict | None =
 
 def read_sweep_csv(path: str | Path, kind: str) -> PowerSweep:
     """Read a ``pump_w,value,sigma`` dataset of the given sweep ``kind``; a
-    sidecar, when there is one, must not name another kind."""
+    sidecar, when there is one, must not name another kind.
+
+    Once every cell converts, the first row with a pump power that is not
+    a non-negative finite number, a value that is not finite or a sigma
+    that is not a positive finite number is an error.
+    """
     path = Path(path)
     p, y, s = _read_columns(path, (("pump_w", float), ("value", float), ("sigma", float)))
+    pump_w, value, sigma = np.array(p), np.array(y), np.array(s)
+    _check_ranges(path, (
+        ("pump_w", p, (pump_w >= 0) & (pump_w < np.inf), "finite and non-negative"),
+        ("value", y, np.isfinite(value), "finite"),
+        ("sigma", s, (sigma > 0) & (sigma < np.inf), "finite and positive"),
+    ))
     recorded = _read_sidecar(path).get("kind", kind)
     if recorded != kind:
         raise DataFormatError(f"{sidecar_path(path)}: kind is {recorded!r}, expected {kind!r}")
-    return PowerSweep(pump_w=np.array(p), value=np.array(y), sigma=np.array(s), kind=kind)
+    return PowerSweep(pump_w=pump_w, value=value, sigma=sigma, kind=kind)
 
 
 # ---------------------------------------------------------------- counts
@@ -267,17 +289,11 @@ def read_counts_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
     p, c, d, seeds = _read_columns(
         path, (("pump_w", float), ("counts", int), ("duration_s", float), ("seed", int)))
     pump_w, counts, durations = np.array(p), np.array(c), np.array(d)
-    bad_pump = ~((pump_w >= 0) & (pump_w < np.inf))
-    bad = bad_pump | (counts < 0) | ~((durations > 0) & (durations < np.inf))
-    if bad.any():
-        i = int(np.argmax(bad))
-        if bad_pump[i]:
-            message = f"column 'pump_w' must be finite and non-negative, got {p[i]!r}"
-        elif counts[i] < 0:
-            message = f"column 'counts' must be non-negative, got {c[i]!r}"
-        else:
-            message = f"column 'duration_s' must be positive and finite, got {d[i]!r}"
-        raise DataFormatError(f"{path}:{i + 2}: {message}")
+    _check_ranges(path, (
+        ("pump_w", p, (pump_w >= 0) & (pump_w < np.inf), "finite and non-negative"),
+        ("counts", c, counts >= 0, "non-negative"),
+        ("duration_s", d, (durations > 0) & (durations < np.inf), "positive and finite"),
+    ))
     return pump_w, counts, durations, seeds, _read_sidecar(path)
 
 

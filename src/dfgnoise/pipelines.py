@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import converter, counting, dataio, spectra
-from .config import RunConfig
+from .config import RunConfig, ScanGrid
 from .errors import DataFormatError, ParameterError
 from .fitting import (
     FitResult,
@@ -58,21 +58,7 @@ _EFF_SIGMA_FLOOR = 0.01
 
 def _vis_params(cfg: RunConfig) -> converter.ConverterParams:
     """Converter parameters with the visible noise coefficient swapped in."""
-    dip_bw = spectra.bandwidth_nm_to_hz(cfg.modes[0].fwhm_dip_nm, cfg.modes[0].lambda_tele_nm)
-    return replace(cfg.converter, alpha_n=cfg.alpha_n_visible, bandwidth_ref_hz=dip_bw)
-
-
-def _fine_step(scan_step: float, *widths: float) -> float:
-    return min(scan_step, min(widths) / 10.0)
-
-
-def _counting_noise(scan: spectra.SpectralScan, chain, rng) -> spectra.SpectralScan:
-    """Poisson-sample a scan through a chain and normalize back, clipping
-    the (rare) negative dark-subtracted values at zero."""
-    t = chain.integration_time_s
-    observed = rng.poisson(counting.expected_counts(scan.rate_hz, chain, t))
-    rate = counting.normalize_counts(observed, t, chain).rate_hz
-    return replace(scan, rate_hz=np.clip(rate, 0.0, None), integration_time_s=t)
+    return replace(cfg.converter, alpha_n=cfg.alpha_n_visible)
 
 
 def simulate_efficiency(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
@@ -100,18 +86,28 @@ def simulate_efficiency(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     return paths
 
 
-def _simulated_scan(
-    intrinsic: spectra.SpectralScan,
-    instrument: spectra.FilterProfile,
-    out_grid: np.ndarray,
-    chain,
-    rng,
-) -> spectra.SpectralScan:
+def _simulate_scan(
+    seed: int, stream: int, scan_cfg: ScanGrid, instrument: spectra.FilterProfile, widths,
+    intrinsic, chain, path: Path, metadata: dict,
+) -> Path:
+    """Synthetic scan: the spectrum ``intrinsic(grid_nm)`` on a grid fine
+    enough for the instrument and the feature ``widths``, broadened by the
+    instrument's shape, resampled onto the scan grid, Poisson-counted
+    through ``chain`` and normalized back (clipping the rare negative
+    dark-subtracted rates at zero), then written to ``path``."""
+    step = min(scan_cfg.step_nm, min(instrument.fwhm_nm, *widths) / 10.0)
+    pad = 6.0 * instrument.fwhm_nm
+    fine = np.arange(scan_cfg.start_nm - pad, scan_cfg.stop_nm + pad + step / 2, step)
     # shape-only instrument response: insertion loss already sits in the chain
     response = replace(instrument, peak_transmission=1.0)
-    observed = spectra.convolve_with_filter(intrinsic, response)
-    sampled = spectra.resample_scan(observed, out_grid)
-    return _counting_noise(sampled, chain, rng)
+    observed = spectra.convolve_with_filter(intrinsic(fine), response)
+    sampled = spectra.resample_scan(observed, scan_cfg.grid())
+    t = chain.integration_time_s
+    rng = np.random.default_rng(counting.derive_seed(seed, stream))
+    counts = rng.poisson(counting.expected_counts(sampled.rate_hz, chain, t))
+    rate = counting.normalize_counts(counts, t, chain).rate_hz
+    scan = replace(sampled, rate_hz=np.clip(rate, 0.0, None), integration_time_s=t)
+    return dataio.write_scan_csv(scan, path, metadata=metadata)
 
 
 def simulate_telecom_spectrum(
@@ -120,19 +116,13 @@ def simulate_telecom_spectrum(
     """Synthetic telecom noise scan: intrinsic dips, grating-filter
     broadening, Poisson counting, normalization back to waveguide rates."""
     p = cfg.sweep.pump_max_w if pump_w is None else pump_w
-    scan_cfg = cfg.telecom_scan
-    step = _fine_step(scan_cfg.step_nm, cfg.tg_filter.fwhm_nm,
-                      *(m.fwhm_dip_nm for m in cfg.modes))
-    pad = 6.0 * cfg.tg_filter.fwhm_nm
-    fine = np.arange(scan_cfg.start_nm - pad, scan_cfg.stop_nm + pad + step / 2, step)
-    intrinsic = spectra.telecom_spectrum(cfg.converter, cfg.modes, p, fine)
-    rng = np.random.default_rng(counting.derive_seed(seed, _STREAM_TELE_SPECTRUM))
-    out = _simulated_scan(intrinsic, cfg.tg_filter, scan_cfg.grid(),
-                          cfg.chains["telecom"], rng)
-    return dataio.write_scan_csv(
-        out, out_dir / "telecom_spectrum.csv",
-        metadata={"seed": seed, "pump_w": p, "kind": "telecom-spectrum",
-                  "bandwidth_ref_hz": cfg.converter.bandwidth_ref_hz},
+    return _simulate_scan(
+        seed, _STREAM_TELE_SPECTRUM, cfg.telecom_scan, cfg.tg_filter,
+        [m.fwhm_dip_nm for m in cfg.modes],
+        lambda grid: spectra.telecom_spectrum(cfg.converter, cfg.modes, p, grid),
+        cfg.chains["telecom"], out_dir / "telecom_spectrum.csv",
+        {"seed": seed, "pump_w": p, "kind": "telecom-spectrum",
+         "bandwidth_ref_hz": cfg.converter.bandwidth_ref_hz},
     )
 
 
@@ -145,24 +135,14 @@ def simulate_visible_spectrum(
     if collection not in cfg.collection:
         raise ParameterError(f"unknown collection preset {collection!r}")
     p = cfg.sweep.pump_max_w if pump_w is None else pump_w
-    scan_cfg = cfg.visible_scan
-    step = _fine_step(scan_cfg.step_nm, cfg.spectrometer_fwhm_nm,
-                      *(m.fwhm_peak_nm for m in cfg.modes))
-    pad = 6.0 * cfg.spectrometer_fwhm_nm
-    fine = np.arange(scan_cfg.start_nm - pad, scan_cfg.stop_nm + pad + step / 2, step)
-    intrinsic = spectra.visible_spectrum(
-        _vis_params(cfg), cfg.modes, p, fine, collection=cfg.collection[collection]
-    )
-    instrument = spectra.FilterProfile(
-        shape="gaussian", fwhm_nm=cfg.spectrometer_fwhm_nm, peak_transmission=1.0
-    )
-    rng = np.random.default_rng(counting.derive_seed(seed, _STREAM_VIS_SPECTRUM))
-    out = _simulated_scan(intrinsic, instrument, scan_cfg.grid(),
-                          cfg.chains["visible"], rng)
-    return dataio.write_scan_csv(
-        out, out_dir / f"visible_spectrum_{collection}.csv",
-        metadata={"seed": seed, "pump_w": p, "kind": "visible-spectrum",
-                  "collection": collection},
+    return _simulate_scan(
+        seed, _STREAM_VIS_SPECTRUM, cfg.visible_scan,
+        spectra.FilterProfile(shape="gaussian", fwhm_nm=cfg.spectrometer_fwhm_nm),
+        [m.fwhm_peak_nm for m in cfg.modes],
+        lambda grid: spectra.visible_spectrum(_vis_params(cfg), cfg.modes, p, grid,
+                                              collection=cfg.collection[collection]),
+        cfg.chains["visible"], out_dir / f"visible_spectrum_{collection}.csv",
+        {"seed": seed, "pump_w": p, "kind": "visible-spectrum", "collection": collection},
     )
 
 

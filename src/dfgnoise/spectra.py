@@ -40,14 +40,11 @@ __all__ = [
     "deconvolve_gaussian",
     "fit_gaussian_feature",
     "band_fraction",
-    "bandwidth_nm_to_hz",
     "GAUSSIAN_AREA_FACTOR",
 ]
 
 # area of a unit-peak Gaussian of given FWHM: area = peak * fwhm * this
 GAUSSIAN_AREA_FACTOR = math.sqrt(math.pi / (4.0 * math.log(2.0)))
-
-_SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 # kernel support and "far from the feature" cutoff, in units of FWHM
 _KERNEL_CUTOFF_FWHM = 5.0
@@ -190,14 +187,6 @@ def gaussian_profile(x, center: float, fwhm: float):
     """Unit-peak Gaussian parameterized by its FWHM."""
     x = np.asarray(x, dtype=float)
     return np.exp(-4.0 * math.log(2.0) * ((x - center) / fwhm) ** 2)
-
-
-def bandwidth_nm_to_hz(fwhm_nm: float, center_nm: float) -> float:
-    """Convert a wavelength bandwidth to the equivalent frequency bandwidth,
-    c * d(lambda) / lambda^2 (200 pm at 1541 nm is about 25 GHz)."""
-    if fwhm_nm <= 0 or center_nm <= 0:
-        raise ParameterError("bandwidth and center wavelength must be positive")
-    return _SPEED_OF_LIGHT_M_S * (fwhm_nm * 1e-9) / (center_nm * 1e-9) ** 2
 
 
 def telecom_spectrum(

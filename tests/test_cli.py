@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -21,6 +23,17 @@ def run(*argv):
 @pytest.fixture
 def outdir(tmp_path):
     return tmp_path / "out"
+
+
+def usage_error(outdir, *argv) -> str:
+    """Run a bad invocation: argparse must exit 2 before ``outdir`` is
+    created; returns what it printed to stderr."""
+    with pytest.raises(SystemExit) as excinfo, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        run(*argv)
+    assert excinfo.value.code == cli.EXIT_USAGE
+    assert not outdir.exists()
+    return err.getvalue()
 
 
 # ----------------------------------------------------------------- simulate
@@ -61,8 +74,9 @@ def test_simulate_power_sweep_zero_power_is_dark_only(outdir):
     assert 0.7 < meta["in_band_fraction"] < 0.85
 
 
-def test_simulate_power_sweep_requires_kind(outdir, capsys):
-    assert run("simulate", "power-sweep", "--out", str(outdir)) == cli.EXIT_USAGE
+def test_simulate_power_sweep_requires_kind(outdir):
+    err = usage_error(outdir, "simulate", "power-sweep", "--out", str(outdir))
+    assert "the following arguments are required: --kind" in err
 
 
 def test_simulate_deterministic_reruns(outdir, tmp_path):
@@ -124,7 +138,8 @@ def test_fit_efficiency_insufficient_data(outdir, tmp_path):
 
 
 def test_fit_efficiency_missing_flags(outdir):
-    assert run("fit", "efficiency", "--out", str(outdir)) == cli.EXIT_USAGE
+    err = usage_error(outdir, "fit", "efficiency", "--out", str(outdir))
+    assert "the following arguments are required: --internal, --external" in err
 
 
 def test_fit_noise_pipeline(outdir):
@@ -144,7 +159,9 @@ def test_fit_noise_pipeline(outdir):
 
 
 def test_fit_noise_requires_some_input(outdir):
-    assert run("fit", "noise", "--out", str(outdir)) == cli.EXIT_USAGE
+    # the one rule argparse cannot declare still leaves through argparse
+    err = usage_error(outdir, "fit", "noise", "--out", str(outdir))
+    assert "dfgnoise fit noise: error: one of the arguments --detuned --visible is required" in err
 
 
 def test_fit_noise_rejects_onpeak_as_detuned(outdir):
@@ -505,6 +522,39 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         run("simulate", "warp-drive")
     assert excinfo.value.code == cli.EXIT_USAGE
+
+
+# options that some command reads, each given to a command that does not
+# read it; required options get a value so that only the stray one is wrong
+_STRAY_OPTIONS = {
+    ("simulate", "efficiency"): ["--kind", "--pump-w", "--collection"],
+    ("simulate", "telecom-spectrum"): ["--kind", "--collection"],
+    ("simulate", "visible-spectrum"): ["--kind"],
+    ("simulate", "power-sweep", "--kind", "noise_vis"): ["--pump-w", "--collection"],
+    ("fit", "efficiency", "--internal", "i.csv", "--external", "e.csv"):
+        ["--seed", "--detuned", "--visible", "--points", "--efficiency-fit"],
+    ("fit", "noise", "--detuned", "d.csv"): ["--seed", "--internal", "--external"],
+    ("report",): ["--seed"],
+}
+_OPTION_VALUES = {"--kind": "noise_vis", "--pump-w": "0.1", "--collection": "mmf",
+                  "--seed": "5", "--points": "4", "--efficiency-fit": "fit.json"}
+
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param(command, option,
+                 id=" ".join(word for word in command[:2] if not word.startswith("-"))
+                 + f" {option}")
+    for command, options in _STRAY_OPTIONS.items() for option in options
+])
+def test_option_of_another_command_is_usage_error(outdir, command, option):
+    value = _OPTION_VALUES.get(option, "x.csv")
+    err = usage_error(outdir, *command, option, value, "--out", str(outdir))
+    assert f"unrecognized arguments: {option} {value}" in err
+
+
+def test_option_before_subcommand_is_usage_error(outdir):
+    # options belong to the subcommand, so they follow its name
+    usage_error(outdir, "simulate", "--out", str(outdir), "efficiency")
 
 
 def test_cli_import_does_not_load_scipy():

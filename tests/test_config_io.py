@@ -353,6 +353,31 @@ def test_bad_counts_row_rejected(tmp_path, capsys, row, message):
     assert capsys.readouterr().err == f"error: {message.replace('counts.csv', str(path))}\n"
 
 
+@pytest.mark.parametrize("row, message", [
+    ("nan,0.3,0.01", "column 'pump_w' must be finite and non-negative, got nan"),
+    ("-0.5,0.3,0.01", "column 'pump_w' must be finite and non-negative, got -0.5"),
+    ("inf,0.3,0.01", "column 'pump_w' must be finite and non-negative, got inf"),
+    ("0.2,nan,0.01", "column 'value' must be finite, got nan"),
+    ("0.2,-inf,0.01", "column 'value' must be finite, got -inf"),
+    ("0.2,0.3,0", "column 'sigma' must be finite and positive, got 0.0"),
+    ("0.2,0.3,-1", "column 'sigma' must be finite and positive, got -1.0"),
+    ("0.2,0.3,nan", "column 'sigma' must be finite and positive, got nan"),
+    ("0.2,0.3,inf", "column 'sigma' must be finite and positive, got inf"),
+    # within a row, the columns are checked in order
+    ("-0.5,nan,0", "column 'pump_w' must be finite and non-negative, got -0.5"),
+    ("0.2,nan,0", "column 'value' must be finite, got nan"),
+])
+def test_bad_sweep_row_rejected(tmp_path, capsys, row, message):
+    path = tmp_path / "efficiency_int.csv"
+    path.write_text(f"pump_w,value,sigma\n0.1,0.2,0.01\n{row}\n0.3,nan,-1.0\n")
+    with pytest.raises(DataFormatError, match=f"efficiency_int.csv:3: {message}"):
+        dataio.read_sweep_csv(path, "efficiency_int")
+    code = cli.main(["fit", "efficiency", "--internal", str(path), "--external", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
+
+
 def test_sweep_sidecar_of_another_kind_rejected(tmp_path):
     sweep = PowerSweep([0.1, 0.2], [0.3, 0.4], [0.01, 0.01], "efficiency_ext")
     path = dataio.write_sweep_csv(sweep, tmp_path / "sweep.csv")

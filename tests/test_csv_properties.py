@@ -27,6 +27,16 @@ HEADERS = {
 }
 CELLS = ["x", "", "1e", "1.5", "-1", "nan", "inf", "--1", " 7 ", "0x10", "1_000", "1,5", '"1,5"']
 
+# what a converted cell must be, by kind and column
+RANGE_RULES = {
+    "sweep": {"pump_w": (lambda v: 0 <= v < math.inf, "finite and non-negative"),
+              "value": (math.isfinite, "finite"),
+              "sigma": (lambda v: 0 < v < math.inf, "finite and positive")},
+    "counts": {"pump_w": (lambda v: 0 <= v < math.inf, "finite and non-negative"),
+               "counts": (lambda v: v >= 0, "non-negative"),
+               "duration_s": (lambda v: 0 < v < math.inf, "positive and finite")},
+}
+
 
 def _parse_float(cell, path, line_no, column):
     try:
@@ -62,19 +72,14 @@ def _reference_columns(path: Path, kind: str) -> list[list]:
             values = [_parse_float(cell, path, line_no, name) for cell, name in zip(row, header)]
         for column, value in zip(columns, values):
             column.append(value)
-    if kind == "counts":
-        # once every cell converts: a pump power is non-negative and finite,
-        # a count non-negative, a duration positive and finite
-        for line_no, (pump, count, duration) in enumerate(zip(*columns[:3]), start=2):
-            if not 0 <= pump < math.inf:
-                raise DataFormatError(f"{path}:{line_no}: column 'pump_w' must be "
-                                      f"finite and non-negative, got {pump!r}")
-            if count < 0:
-                raise DataFormatError(
-                    f"{path}:{line_no}: column 'counts' must be non-negative, got {count!r}")
-            if not 0 < duration < math.inf:
-                raise DataFormatError(f"{path}:{line_no}: column 'duration_s' must be "
-                                      f"positive and finite, got {duration!r}")
+    # once every cell converts: each row's cells in column order, by the
+    # rule of their column
+    rules = RANGE_RULES.get(kind, {})
+    for line_no, row in enumerate(zip(*columns), start=2):
+        for name, cell in zip(header, row):
+            if name in rules and not rules[name][0](cell):
+                raise DataFormatError(f"{path}:{line_no}: column '{name}' must be "
+                                      f"{rules[name][1]}, got {cell!r}")
     return columns
 
 

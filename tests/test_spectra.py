@@ -286,7 +286,3 @@ def test_band_fraction_requires_shared_grid():
     with pytest.raises(ParameterError):
         spectra.band_fraction(a, b, FilterProfile("gaussian", 10.0, center_nm=580.0))
 
-
-def test_bandwidth_conversion():
-    # 200 pm at 1541 nm is roughly 25 GHz
-    assert spectra.bandwidth_nm_to_hz(0.2, 1541.0) == pytest.approx(25e9, rel=0.02)
