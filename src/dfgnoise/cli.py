@@ -14,11 +14,12 @@ import math
 import sys
 from pathlib import Path
 
-from . import pipelines
 from .config import load_config, write_template
-from .dataio import read_fit_json
 from .errors import DfgNoiseError, FitFailureError
-from .report import build_report
+from .params import NOISE_SWEEP_KINDS
+
+# The numpy layers (pipelines, dataio, report) are imported by the commands
+# that run them, so validate-config starts without numpy.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,16 +80,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # ``write(args, cfg, seed, out_dir)`` of a simulate command returns the written paths
+    # ``write(pipelines, args, cfg, seed, out_dir)`` of a simulate command
+    # returns the written paths
     sim = sub.add_parser("simulate", help="generate synthetic datasets").add_subparsers(
         dest="what", required=True)
     _command(sim, "efficiency", _cmd_simulate, "internal and external efficiency sweeps",
-             seed=True, write=lambda args, *run: pipelines.simulate_efficiency(*run))
+             seed=True, write=lambda pl, args, *run: pl.simulate_efficiency(*run))
     tele = _command(sim, "telecom-spectrum", _cmd_simulate, "telecom noise scan", seed=True,
-                    write=lambda args, *run: [pipelines.simulate_telecom_spectrum(
+                    write=lambda pl, args, *run: [pl.simulate_telecom_spectrum(
                         *run, pump_w=args.pump_w)])
     vis = _command(sim, "visible-spectrum", _cmd_simulate, "visible noise scan", seed=True,
-                   write=lambda args, *run: [pipelines.simulate_visible_spectrum(
+                   write=lambda pl, args, *run: [pl.simulate_visible_spectrum(
                        *run, pump_w=args.pump_w, collection=args.collection)])
     for scan in (tele, vis):
         scan.add_argument("--pump-w", type=_non_negative_float, default=None,
@@ -96,9 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     vis.add_argument("--collection", choices=("smf", "mmf"), default="smf",
                      help="fiber collection preset (default smf)")
     sweep = _command(sim, "power-sweep", _cmd_simulate, "raw counts of one noise sweep",
-                     seed=True, write=lambda args, *run: [pipelines.simulate_power_sweep(
+                     seed=True, write=lambda pl, args, *run: [pl.simulate_power_sweep(
                          *run, kind=args.kind)])
-    sweep.add_argument("--kind", choices=pipelines.NOISE_SWEEP_KINDS, required=True,
+    sweep.add_argument("--kind", choices=NOISE_SWEEP_KINDS, required=True,
                        help="power-sweep flavor")
 
     fit = sub.add_parser("fit", help="run a parameter fit on data files").add_subparsers(
@@ -140,9 +142,11 @@ def _resolve(args):
 
 
 def _cmd_simulate(args) -> int:
+    from . import pipelines
+
     cfg, out_dir = _resolve(args)
     seed = cfg.seed if args.seed is None else args.seed
-    for p in args.write(args, cfg, seed, out_dir):
+    for p in args.write(pipelines, args, cfg, seed, out_dir):
         print(f"wrote {p}")
     return EXIT_OK
 
@@ -158,6 +162,8 @@ def _fit_outcome(result, path) -> int:
 
 
 def _cmd_fit_efficiency(args) -> int:
+    from . import pipelines
+
     cfg, out_dir = _resolve(args)
     return _fit_outcome(*pipelines.run_fit_efficiency(cfg, args.internal, args.external, out_dir))
 
@@ -165,6 +171,9 @@ def _cmd_fit_efficiency(args) -> int:
 def _cmd_fit_noise(args) -> int:
     if args.detuned is None and args.visible is None:
         args.usage_error("one of the arguments --detuned --visible is required")
+    from . import pipelines
+    from .dataio import read_fit_json
+
     cfg, out_dir = _resolve(args)
     eff = read_fit_json(args.efficiency_fit) if args.efficiency_fit else None
     return _fit_outcome(*pipelines.run_fit_noise(
@@ -173,6 +182,9 @@ def _cmd_fit_noise(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .dataio import read_fit_json
+    from .report import build_report
+
     cfg, out_dir = _resolve(args)
     eff = read_fit_json(args.efficiency_fit) if args.efficiency_fit else None
     noise = read_fit_json(args.noise_fit) if args.noise_fit else None
@@ -197,7 +209,14 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
+    # argparse would take the value of an option put before a subcommand
+    # for the subcommand's name
+    if (len(argv) > 1 and argv[0] in ("simulate", "fit") and argv[1].startswith("-")
+            and argv[1] not in ("-h", "--help")):
+        parser.error(f"option {argv[1].split('=')[0]} is misplaced: "
+                     f"options follow '{argv[0]} <what>'")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -17,13 +17,17 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from . import converter
-from .counting import MeasurementChain
 from .errors import ConfigError, DfgNoiseError
-from .spectra import FilterProfile, SfgMode, check_mode_energy_conservation, sfg_mode_from_telecom
+from .params import (
+    ConverterParams,
+    FilterProfile,
+    MeasurementChain,
+    SfgMode,
+    check_mode_energy_conservation,
+    sfg_mode_from_telecom,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -117,10 +121,15 @@ class ScanGrid:
             raise ConfigError("scan step_nm must be positive")
         if self.stop_nm <= self.start_nm:
             raise ConfigError("scan stop_nm must exceed start_nm")
+        if self.n_points < 2:
+            raise ConfigError(
+                f"scan from {self.start_nm} to {self.stop_nm} nm in {self.step_nm} nm "
+                "steps has a single point; it needs at least two")
 
-    def grid(self) -> np.ndarray:
-        n = int(round((self.stop_nm - self.start_nm) / self.step_nm))
-        return self.start_nm + self.step_nm * np.arange(n + 1)
+    @property
+    def n_points(self) -> int:
+        """Number of grid points, ``start_nm + i * step_nm``, from start to stop."""
+        return int(round((self.stop_nm - self.start_nm) / self.step_nm)) + 1
 
 
 @dataclass(frozen=True)
@@ -138,9 +147,6 @@ class SweepSettings:
         if self.efficiency_noise_rel < 0:
             raise ConfigError("efficiency_noise_rel must be non-negative")
 
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.pump_min_w, self.pump_max_w, self.n_points)
-
 
 @dataclass
 class RunConfig:
@@ -150,7 +156,7 @@ class RunConfig:
     seed: int
     output_dir: str
     pump_wavelength_nm: float
-    converter: converter.ConverterParams
+    converter: ConverterParams
     alpha_n_visible: float
     modes: list[SfgMode]
     chains: dict[str, MeasurementChain]
@@ -340,7 +346,7 @@ def parse_config(raw: dict, source: str = "<dict>") -> RunConfig:
     params = alpha_vis = None
     if device is not None and noise is not None:
         *tele, alpha_vis = noise.values()
-        params = _build(errors, "device/noise", converter.ConverterParams, {},
+        params = _build(errors, "device/noise", ConverterParams, {},
                         *device.values(), *tele)
     if modes is not None:
         modes = [_build(errors, f"modes[{i}]", _mode, entry, pump_nm)
@@ -359,30 +365,37 @@ def parse_config(raw: dict, source: str = "<dict>") -> RunConfig:
                      collection, *filters.values(), *scans.values(), sweep, source)
 
 
-class _Loader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that also reads YAML 1.2 floats: an exponent
-    without a dot or without a sign (``1e-1``, ``25e9``, ``1.0e9``) is a
-    string under YAML 1.1.  A key given twice in one mapping is an error
-    (a merged-in ``<<`` key may still be overridden)."""
+def _loader(base: type) -> type:
+    """The PyYAML safe loader ``base``, extended to read YAML 1.2 floats:
+    an exponent without a dot or without a sign (``1e-1``, ``25e9``,
+    ``1.0e9``) is a string under YAML 1.1.  A key given twice in one
+    mapping is an error (a merged-in ``<<`` key may still be overridden)."""
 
-    def construct_mapping(self, node, deep=False):
-        key_nodes = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
-        mapping = super().construct_mapping(node, deep=deep)
-        seen = set()
-        for key_node in key_nodes:
-            key = self.construct_object(key_node)
-            if key in seen:
-                raise yaml.constructor.ConstructorError(
-                    problem=f"duplicate key {key!r} on line {key_node.start_mark.line + 1}")
-            seen.add(key)
-        return mapping
+    class Loader(base):
+        def construct_mapping(self, node, deep=False):
+            key_nodes = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep=deep)
+            seen = set()
+            for key_node in key_nodes:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        problem=f"duplicate key {key!r} on line {key_node.start_mark.line + 1}")
+                seen.add(key)
+            return mapping
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+        list("-+.0123456789"),
+    )
+    return Loader
 
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
-    list("-+.0123456789"),
-)
+# libyaml's parser where PyYAML was built with it: it loads the template
+# about seven times faster.  The resolver and the constructor are PyYAML's
+# own with either base.
+_Loader = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -23,11 +23,10 @@ pump power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
+from .params import ConverterParams, sfg_partner_wavelength
 
 __all__ = [
     "ConverterParams",
@@ -47,60 +46,6 @@ __all__ = [
 
 # below this |x| the direct sin(x)/x quotient is replaced by its series
 _SINC_SERIES_CUTOFF = 1e-4
-
-
-@dataclass(frozen=True)
-class ConverterParams:
-    """Device ledger for one frequency converter.
-
-    Parameters
-    ----------
-    length_cm : float
-        Waveguide length in cm.
-    eta_max_int : float
-        Peak internal conversion efficiency (inside the waveguide).
-    eta_max_ext : float
-        Peak external device efficiency, including in/out coupling and
-        propagation losses; never exceeds the internal value.
-    eta_n : float
-        Conversion parameter in 1/(W cm^2).  Sets the pump power scale of
-        the sin^2 efficiency curve.
-    alpha_n : float
-        Noise coefficient in Hz/(W cm), tied to ``bandwidth_ref_hz``.
-    bandwidth_ref_hz : float
-        Measurement bandwidth at which ``alpha_n`` was determined.
-    """
-
-    length_cm: float
-    eta_max_int: float
-    eta_max_ext: float
-    eta_n: float
-    alpha_n: float
-    bandwidth_ref_hz: float
-
-    def __post_init__(self):
-        if not self.length_cm > 0:
-            raise ParameterError(f"length_cm must be positive, got {self.length_cm}")
-        if not 0.0 <= self.eta_max_ext <= self.eta_max_int <= 1.0:
-            raise ParameterError(
-                "efficiencies must satisfy 0 <= eta_max_ext <= eta_max_int <= 1, "
-                f"got ext={self.eta_max_ext}, int={self.eta_max_int}"
-            )
-        if self.eta_n < 0:
-            raise ParameterError(f"eta_n must be non-negative, got {self.eta_n}")
-        if self.alpha_n < 0:
-            raise ParameterError(f"alpha_n must be non-negative, got {self.alpha_n}")
-        if not self.bandwidth_ref_hz > 0:
-            raise ParameterError(
-                f"bandwidth_ref_hz must be positive, got {self.bandwidth_ref_hz}"
-            )
-
-    def eta_max(self, which: str) -> float:
-        if which == "internal":
-            return self.eta_max_int
-        if which == "external":
-            return self.eta_max_ext
-        raise ParameterError(f"which must be 'internal' or 'external', got {which!r}")
 
 
 def _sinc(x):
@@ -226,14 +171,6 @@ def visible_noise_rate_lowpower(params: ConverterParams, pump_w):
     rate = (params.alpha_n * params.eta_n * params.eta_max_int * params.length_cm**3
             * p * p / 3.0)
     return _scalar_or_array(rate)
-
-
-def sfg_partner_wavelength(lambda_pump_nm: float, lambda_tele_nm: float) -> float:
-    """Visible wavelength produced by SFG of a telecom photon with the pump,
-    1/lambda_vis = 1/lambda_pump + 1/lambda_tele.  All values in nm."""
-    if lambda_pump_nm <= 0 or lambda_tele_nm <= 0:
-        raise ParameterError("wavelengths must be positive")
-    return 1.0 / (1.0 / lambda_pump_nm + 1.0 / lambda_tele_nm)
 
 
 def photons_per_mode(alpha_n: float, bandwidth_hz: float) -> float:

@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
+from .params import MeasurementChain
 
 __all__ = [
     "MeasurementChain",
@@ -50,37 +51,6 @@ _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 # the array pass has a fixed cost of about 0.2 ms, which per-point draws
 # (about 4 us each) only pass in longer sweeps.
 _ARRAY_DRAW_MIN_POINTS = 64
-
-
-@dataclass(frozen=True)
-class MeasurementChain:
-    """Detection chain: labelled transmission factors, detector efficiency,
-    dark count rate and default integration time."""
-
-    transmissions: tuple[tuple[str, float], ...]
-    detector_efficiency: float
-    dark_rate_hz: float
-    integration_time_s: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "transmissions", tuple((str(k), float(v)) for k, v in self.transmissions)
-        )
-        for label, factor in self.transmissions:
-            if not 0.0 < factor <= 1.0:
-                raise ParameterError(
-                    f"transmission {label!r} must be in (0, 1], got {factor}"
-                )
-        if not 0.0 < self.detector_efficiency <= 1.0:
-            raise ParameterError(
-                f"detector_efficiency must be in (0, 1], got {self.detector_efficiency}"
-            )
-        if self.dark_rate_hz < 0:
-            raise ParameterError(f"dark_rate_hz must be non-negative, got {self.dark_rate_hz}")
-        if not self.integration_time_s > 0:
-            raise ParameterError(
-                f"integration_time_s must be positive, got {self.integration_time_s}"
-            )
 
 
 @dataclass(frozen=True)
@@ -234,20 +204,34 @@ def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
     """High 64 bits of the 128-bit product of a uint64 array and a 64-bit
-    constant, from 32-bit limbs."""
-    a_lo, a_hi = a & _MASK32, a >> 32
+    constant, from 32-bit limbs, in five work arrays."""
     b_lo, b_hi = b & _MASK32, b >> 32
-    cross_a, cross_b = a_hi * b_lo, a_lo * b_hi
-    mid = ((a_lo * b_lo) >> 32) + (cross_a & _MASK32) + (cross_b & _MASK32)
-    return a_hi * b_hi + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32)
+    mid, high = a & _MASK32, a >> 32
+    cross_a, cross_b = high * b_lo, mid * b_hi
+    high *= b_hi
+    mid *= b_lo
+    mid >>= 32
+    low_half = np.empty_like(a)
+    for cross in (cross_a, cross_b):
+        mid += np.bitwise_and(cross, _MASK32, out=low_half)
+        cross >>= 32
+        high += cross
+    mid >>= 32
+    high += mid
+    return high
 
 
-def _pcg_step(high, low, inc_high, inc_low):
+def _pcg_step(high, low, inc_high, inc_low) -> None:
     """One step of PCG64's 128-bit LCG, ``state * multiplier + inc``, on
-    uint64 (high, low) halves."""
-    product_high = _mulhi64(low, _PCG_MULT_LO) + low * _PCG_MULT_HI + high * _PCG_MULT_LO
-    low = low * _PCG_MULT_LO + inc_low
-    return product_high + inc_high + (low < inc_low), low
+    uint64 (high, low) halves, in place."""
+    work = _mulhi64(low, _PCG_MULT_LO)
+    high *= _PCG_MULT_LO
+    high += work
+    high += np.multiply(low, _PCG_MULT_HI, out=work)
+    low *= _PCG_MULT_LO
+    low += inc_low
+    high += inc_high
+    high += np.less(low, inc_low, out=work)  # the carry out of the low half
 
 
 def _pcg_doubles(words: np.ndarray, count: int) -> list[np.ndarray]:
@@ -263,13 +247,20 @@ def _pcg_doubles(words: np.ndarray, count: int) -> list[np.ndarray]:
     inc_low = (seq_low << 1) | 1
     low = inc_low + init_low  # the first step from a zero state gives inc
     high = inc_high + init_high + (low < init_low)
-    high, low = _pcg_step(high, low, inc_high, inc_low)
+    _pcg_step(high, low, inc_high, inc_low)
+    xored, rot = np.empty_like(low), np.empty_like(low)
     doubles = []
     for _ in range(count):
-        high, low = _pcg_step(high, low, inc_high, inc_low)
-        xored, rot = high ^ low, high >> 58
-        out = (xored >> rot) | (xored << ((64 - rot) & 63))
-        doubles.append((out >> 11) * 2.0 ** -53)
+        _pcg_step(high, low, inc_high, inc_low)
+        np.bitwise_xor(high, low, out=xored)
+        np.right_shift(high, 58, out=rot)
+        out = xored >> rot
+        np.subtract(64, rot, out=rot)
+        rot &= 63
+        xored <<= rot
+        out |= xored
+        out >>= 11
+        doubles.append(out * 2.0 ** -53)
     return doubles
 
 

@@ -9,7 +9,6 @@ byte.  Units are part of the header names (nm, W, Hz, s).
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -66,6 +65,10 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def sha256_digest(path: str | Path) -> str:
+    # imported here: report loads this module but digests nothing, and
+    # OpenSSL would add about 5 ms and 2.7 MB to it
+    import hashlib
+
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
     return h.hexdigest()

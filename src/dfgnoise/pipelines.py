@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import converter, counting, dataio, spectra
-from .config import RunConfig, ScanGrid
+from .config import RunConfig, ScanGrid, SweepSettings
 from .errors import DataFormatError, ParameterError
 from .fitting import (
     FitResult,
@@ -25,6 +25,7 @@ from .fitting import (
     fit_efficiency_shared,
     predict_noise_curves,
 )
+from .params import NOISE_SWEEP_KINDS
 
 __all__ = [
     "simulate_efficiency",
@@ -43,17 +44,26 @@ _STREAM_EFF_INT = 0
 _STREAM_EFF_EXT = 1
 _STREAM_TELE_SPECTRUM = 2
 _STREAM_VIS_SPECTRUM = 3
-# noise sweeps: sub-stream index, detection chain, forward-model curve
-_SWEEPS = {
-    "noise_tele_onpeak": (4, "telecom", "telecom_onpeak"),
-    "noise_tele_detuned": (5, "telecom", "telecom_detuned"),
-    "noise_vis": (6, "visible", "visible"),
-}
-
-NOISE_SWEEP_KINDS = tuple(_SWEEPS)
+# noise sweeps, in NOISE_SWEEP_KINDS order: sub-stream index, detection
+# chain, forward-model curve
+_SWEEPS = dict(zip(NOISE_SWEEP_KINDS, (
+    (4, "telecom", "telecom_onpeak"),
+    (5, "telecom", "telecom_detuned"),
+    (6, "visible", "visible"),
+)))
 
 # minimum believable efficiency uncertainty, as a fraction of eta_max
 _EFF_SIGMA_FLOOR = 0.01
+
+
+def _pump_grid(sweep: SweepSettings) -> np.ndarray:
+    """The pump powers of a power sweep, evenly spaced from min to max."""
+    return np.linspace(sweep.pump_min_w, sweep.pump_max_w, sweep.n_points)
+
+
+def _scan_grid(scan: ScanGrid) -> np.ndarray:
+    """The wavelengths of a scan, ``start_nm + i * step_nm``."""
+    return scan.start_nm + scan.step_nm * np.arange(scan.n_points)
 
 
 def _vis_params(cfg: RunConfig) -> converter.ConverterParams:
@@ -64,7 +74,7 @@ def _vis_params(cfg: RunConfig) -> converter.ConverterParams:
 def simulate_efficiency(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     """Synthetic internal/external efficiency sweeps with relative Gaussian
     noise, written as two ``pump_w,value,sigma`` files."""
-    grid = cfg.sweep.grid()
+    grid = _pump_grid(cfg.sweep)
     rel = cfg.sweep.efficiency_noise_rel
     paths = []
     for kind, which, stream in (
@@ -101,7 +111,7 @@ def _simulate_scan(
     # shape-only instrument response: insertion loss already sits in the chain
     response = replace(instrument, peak_transmission=1.0)
     observed = spectra.convolve_with_filter(intrinsic(fine), response)
-    sampled = spectra.resample_scan(observed, scan_cfg.grid())
+    sampled = spectra.resample_scan(observed, _scan_grid(scan_cfg))
     t = chain.integration_time_s
     rng = np.random.default_rng(counting.derive_seed(seed, stream))
     counts = rng.poisson(counting.expected_counts(sampled.rate_hz, chain, t))
@@ -150,6 +160,19 @@ def visible_in_band_fraction(cfg: RunConfig) -> float:
     """Fraction of bandpass-filtered visible counts that belong to the
     fundamental-mode peak, computed from the synthetic spectra as collected
     by the single-mode fiber."""
+    label = cfg.modes[0].label
+    smf = cfg.collection["smf"]
+    # each of these scales the fundamental's visible peak: at zero the
+    # fraction is 0 or 0/0
+    scales = {"noise.alpha_n_vis_hz_per_w_cm": cfg.alpha_n_visible,
+              "device.eta_max_int": cfg.converter.eta_max_int,
+              "device.eta_n_per_w_cm2": cfg.converter.eta_n,
+              "modes[0].relative_strength": cfg.modes[0].relative_strength,
+              f"collection.smf.{label}": smf.get(label, 1.0)}
+    zero = [key for key, value in scales.items() if value == 0]
+    if zero:
+        raise ParameterError(f"no visible noise in the {label} peak to sweep: "
+                             f"{' and '.join(zero)} {'is' if len(zero) == 1 else 'are'} 0")
     vis_params = _vis_params(cfg)
     fundamental = [cfg.modes[0]]
     step = min(m.fwhm_peak_nm for m in cfg.modes) / 20.0
@@ -158,7 +181,6 @@ def visible_in_band_fraction(cfg: RunConfig) -> float:
     grid = np.arange(lo, hi, step)
     # the fraction is pump-independent: every dip shares the same depth factor
     p_ref = cfg.sweep.pump_max_w
-    smf = cfg.collection["smf"]
     total = spectra.visible_spectrum(vis_params, cfg.modes, p_ref, grid, collection=smf)
     target = spectra.visible_spectrum(vis_params, fundamental, p_ref, grid, collection=smf)
     return spectra.band_fraction(target, total, cfg.bp_filter)
@@ -171,7 +193,7 @@ def simulate_power_sweep(cfg: RunConfig, seed: int, out_dir: Path, kind: str) ->
             f"power-sweep kind must be one of {sorted(_SWEEPS)}, got {kind!r}"
         )
     stream, chain_name, curve = _SWEEPS[kind]
-    grid = cfg.sweep.grid()
+    grid = _pump_grid(cfg.sweep)
     curves = predict_noise_curves(cfg.converter, alpha_n_visible=cfg.alpha_n_visible)
     rates = np.asarray(getattr(curves, curve)(grid))
     fraction = 1.0

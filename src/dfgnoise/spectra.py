@@ -26,6 +26,8 @@ from .errors import (
     ResolutionError,
 )
 from .fitting import FitResult, lsq_minimize
+# sfg_mode_from_telecom and check_mode_energy_conservation stay importable from here
+from .params import FilterProfile, SfgMode, check_mode_energy_conservation, sfg_mode_from_telecom
 
 __all__ = [
     "SfgMode",
@@ -33,6 +35,7 @@ __all__ = [
     "FilterProfile",
     "GaussianFeature",
     "sfg_mode_from_telecom",
+    "filter_transmission",
     "gaussian_profile",
     "telecom_spectrum",
     "visible_spectrum",
@@ -48,73 +51,6 @@ GAUSSIAN_AREA_FACTOR = math.sqrt(math.pi / (4.0 * math.log(2.0)))
 
 # kernel support and "far from the feature" cutoff, in units of FWHM
 _KERNEL_CUTOFF_FWHM = 5.0
-
-
-@dataclass(frozen=True)
-class SfgMode:
-    """One phase-matched spatial mode of the waveguide.
-
-    ``relative_strength`` is the peak SFG efficiency relative to the
-    fundamental mode.  ``fwhm_dip_nm``, the width of the noise dip this
-    mode carves into the telecom spectrum, is a free calibration input;
-    measured dips run wider than the SFG acceptance width
-    ``fwhm_sfg_nm``, so the two are kept separate.
-    """
-
-    label: str
-    lambda_tele_nm: float
-    lambda_vis_nm: float
-    fwhm_sfg_nm: float
-    fwhm_dip_nm: float
-    relative_strength: float
-
-    def __post_init__(self):
-        if self.lambda_tele_nm <= 0 or self.lambda_vis_nm <= 0:
-            raise ParameterError(f"mode {self.label}: wavelengths must be positive")
-        if self.fwhm_sfg_nm <= 0 or self.fwhm_dip_nm <= 0:
-            raise ParameterError(f"mode {self.label}: FWHM values must be positive")
-        if not 0.0 <= self.relative_strength <= 1.0:
-            raise ParameterError(
-                f"mode {self.label}: relative_strength must be in [0, 1]"
-            )
-
-    @property
-    def fwhm_peak_nm(self) -> float:
-        """Width of the visible peak partnering the dip: energy conservation
-        maps the telecom width by (lambda_vis / lambda_tele)^2."""
-        return self.fwhm_dip_nm * (self.lambda_vis_nm / self.lambda_tele_nm) ** 2
-
-
-def sfg_mode_from_telecom(
-    label: str,
-    lambda_tele_nm: float,
-    lambda_pump_nm: float,
-    fwhm_sfg_nm: float,
-    fwhm_dip_nm: float,
-    relative_strength: float,
-) -> SfgMode:
-    """Build an :class:`SfgMode` with the visible center derived from energy
-    conservation against the pump wavelength."""
-    return SfgMode(
-        label=label,
-        lambda_tele_nm=lambda_tele_nm,
-        lambda_vis_nm=converter.sfg_partner_wavelength(lambda_pump_nm, lambda_tele_nm),
-        fwhm_sfg_nm=fwhm_sfg_nm,
-        fwhm_dip_nm=fwhm_dip_nm,
-        relative_strength=relative_strength,
-    )
-
-
-def check_mode_energy_conservation(mode: SfgMode, lambda_pump_nm: float) -> None:
-    """Raise if the mode's visible center disagrees with the partner of its
-    telecom center by more than 0.05 nm."""
-    expected = converter.sfg_partner_wavelength(lambda_pump_nm, mode.lambda_tele_nm)
-    if abs(expected - mode.lambda_vis_nm) > 0.05:
-        raise ParameterError(
-            f"mode {mode.label}: visible center {mode.lambda_vis_nm} nm is "
-            f"{abs(expected - mode.lambda_vis_nm):.3f} nm away from the "
-            f"energy-conservation partner {expected:.3f} nm (tolerance 0.05 nm)"
-        )
 
 
 @dataclass
@@ -156,31 +92,15 @@ class SpectralScan:
         return float(np.trapezoid(self.rate_hz, self.wavelength_nm))
 
 
-@dataclass(frozen=True)
-class FilterProfile:
-    """Transmission profile of a bandpass filter or instrument response."""
-
-    shape: str
-    fwhm_nm: float
-    center_nm: float = 0.0
-    peak_transmission: float = 1.0
-
-    def __post_init__(self):
-        if self.shape not in ("gaussian", "rectangular"):
-            raise ParameterError(f"shape must be gaussian or rectangular, got {self.shape!r}")
-        if self.fwhm_nm <= 0:
-            raise ParameterError("filter FWHM must be positive")
-        if not 0.0 < self.peak_transmission <= 1.0:
-            raise ParameterError("peak_transmission must be in (0, 1]")
-
-    def transmission(self, wavelength_nm):
-        """Transmission at the given wavelengths, peak value at the center."""
-        if self.shape == "gaussian":
-            t = gaussian_profile(wavelength_nm, self.center_nm, self.fwhm_nm)
-        else:
-            d = np.asarray(wavelength_nm, dtype=float) - self.center_nm
-            t = (np.abs(d) <= self.fwhm_nm / 2.0).astype(float)
-        return self.peak_transmission * t
+def filter_transmission(profile: FilterProfile, wavelength_nm):
+    """Transmission of ``profile`` at the given wavelengths, peak value at
+    its center."""
+    if profile.shape == "gaussian":
+        t = gaussian_profile(wavelength_nm, profile.center_nm, profile.fwhm_nm)
+    else:
+        d = np.asarray(wavelength_nm, dtype=float) - profile.center_nm
+        t = (np.abs(d) <= profile.fwhm_nm / 2.0).astype(float)
+    return profile.peak_transmission * t
 
 
 def gaussian_profile(x, center: float, fwhm: float):
@@ -262,7 +182,7 @@ def visible_spectrum(
 def _filter_kernel(profile: FilterProfile, step_nm: float) -> np.ndarray:
     half = int(math.ceil(_KERNEL_CUTOFF_FWHM * profile.fwhm_nm / step_nm))
     offsets = np.arange(-half, half + 1) * step_nm
-    k = replace(profile, center_nm=0.0, peak_transmission=1.0).transmission(offsets)
+    k = filter_transmission(replace(profile, center_nm=0.0, peak_transmission=1.0), offsets)
     k /= k.sum() * step_nm  # unit area
     return k * profile.peak_transmission
 
@@ -422,7 +342,7 @@ def band_fraction(
         target_scan.wavelength_nm, total_scan.wavelength_nm
     ):
         raise ParameterError("target and total scans must share a wavelength grid")
-    t = bandpass.transmission(total_scan.wavelength_nm)
+    t = filter_transmission(bandpass, total_scan.wavelength_nm)
     num = np.trapezoid(target_scan.rate_hz * t, total_scan.wavelength_nm)
     den = np.trapezoid(total_scan.rate_hz * t, total_scan.wavelength_nm)
     if den <= 0:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import importlib
 import io
 import json
 import subprocess
@@ -72,6 +73,17 @@ def test_simulate_power_sweep_zero_power_is_dark_only(outdir):
     assert abs(counts[0] - dark_mean) < 5.0 * np.sqrt(dark_mean)
     assert meta["kind"] == "noise_vis"
     assert 0.7 < meta["in_band_fraction"] < 0.85
+
+
+def test_noise_vis_sweep_without_visible_noise_names_the_key(tmp_path, outdir, capsys):
+    # eta_n = 0 leaves no SFG, so no visible noise to sweep
+    config = tmp_path / "run.yaml"
+    config.write_text(write_template(tmp_path / "base.yaml").read_text().replace(
+        "eta_n_per_w_cm2: 0.63", "eta_n_per_w_cm2: 0.0"))
+    assert run("simulate", "power-sweep", "--kind", "noise_vis", "--config", str(config),
+               "--out", str(outdir)) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: no visible noise in the TEM00 peak to sweep: device.eta_n_per_w_cm2 is 0\n")
 
 
 def test_simulate_power_sweep_requires_kind(outdir):
@@ -554,16 +566,54 @@ def test_option_of_another_command_is_usage_error(outdir, command, option):
 
 def test_option_before_subcommand_is_usage_error(outdir):
     # options belong to the subcommand, so they follow its name
-    usage_error(outdir, "simulate", "--out", str(outdir), "efficiency")
+    err = usage_error(outdir, "simulate", "--out", str(outdir), "efficiency")
+    assert "option --out is misplaced: options follow 'simulate <what>'" in err
+    err = usage_error(outdir, "fit", f"--out={outdir}", "noise", "--detuned", "d.csv")
+    assert "option --out is misplaced: options follow 'fit <what>'" in err
+
+
+def _fresh_process(code: str, *args: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports the
+    package from this checkout; ``args`` follow in ``sys.argv[2:]``."""
+    src = str(Path(dfgnoise.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                           + code, src, *args], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def test_cli_import_does_not_load_scipy():
     # neither scipy nor numpy.random: both would slow every cold command
-    src = str(Path(dfgnoise.__file__).resolve().parents[1])
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import dfgnoise.cli; "
-             "print(sorted(m for m in sys.modules "
+    probe = ("import dfgnoise.cli; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
-    proc = subprocess.run([sys.executable, "-c", probe, src],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_process(probe) == "[]"
+
+
+def test_import_dfgnoise_does_not_load_numpy():
+    assert _fresh_process("import dfgnoise; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("option", ["--config", "--write-template"])
+def test_validate_config_runs_without_numpy(tmp_path, option):
+    path = write_template(tmp_path / "run.yaml")
+    probe = ("from dfgnoise import cli; code = cli.main(sys.argv[2:]); "
+             "print(code, 'numpy' in sys.modules)")
+    out = _fresh_process(probe, "validate-config", option, str(path))
+    assert out.splitlines()[-1] == "0 False"
+
+
+def test_every_public_name_resolves():
+    for name in dfgnoise.__all__:
+        module = importlib.import_module(f"dfgnoise.{dfgnoise._MODULES[name]}")
+        assert getattr(dfgnoise, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        dfgnoise.no_such_name
+    # the plain types moved to params stay reachable under their old modules
+    params = importlib.import_module("dfgnoise.params")
+    for module, name in [("converter", "ConverterParams"), ("converter", "sfg_partner_wavelength"),
+                         ("spectra", "SfgMode"), ("spectra", "FilterProfile"),
+                         ("spectra", "sfg_mode_from_telecom"),
+                         ("spectra", "check_mode_energy_conservation"),
+                         ("counting", "MeasurementChain"), ("pipelines", "NOISE_SWEEP_KINDS")]:
+        old = importlib.import_module(f"dfgnoise.{module}")
+        assert getattr(old, name) is getattr(params, name), f"{module}.{name}"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dfgnoise import cli, dataio
+from dfgnoise import cli, config, dataio, pipelines
 from dfgnoise.config import DEFAULT_CONFIG_YAML, default_config, load_config, parse_config, write_template
 from dfgnoise.counting import SweepCounts
 from dfgnoise.errors import ConfigError, DataFormatError
@@ -124,7 +124,8 @@ def test_duplicate_key_rejected(tmp_path, capsys):
 
 def test_scan_grid_generation():
     cfg = default_config()
-    grid = cfg.telecom_scan.grid()
+    grid = pipelines._scan_grid(cfg.telecom_scan)
+    assert len(grid) == cfg.telecom_scan.n_points == 551
     assert grid[0] == pytest.approx(1520.0)
     assert grid[-1] == pytest.approx(1575.0)
     assert np.allclose(np.diff(grid), 0.1)
@@ -181,6 +182,9 @@ def _mutated(path, value):
     (("scans", "telecom", "step_nm"), float("nan"),
      "scans.telecom.step_nm: expected a finite number"),
     (("sweeps", "n_points"), 1, "sweeps: sweep n_points must be at least 2"),
+    (("scans", "telecom", "stop_nm"), 1520.05,
+     "scans.telecom: scan from 1520.0 to 1520.05 nm in 0.1 nm steps has a single point; "
+     "it needs at least two"),
 ])
 def test_config_message_table(path, value, message):
     with pytest.raises(ConfigError) as excinfo:
@@ -241,6 +245,35 @@ def test_non_numeric_strings_still_rejected(tmp_path, capsys, spelling):
     assert cli.main(["validate-config", "--config", str(config)]) == cli.EXIT_DATA
     assert (f"scans.telecom.step_nm: expected a number, got str ('{spelling}')"
             in capsys.readouterr().err)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("text", [
+    DEFAULT_CONFIG_YAML,
+    "seed: [unclosed",
+    DEFAULT_CONFIG_YAML.replace("seed: 20210412", "seed: 1\nseed: 2"),
+    DEFAULT_CONFIG_YAML.replace("step_nm: 0.10}", "step_nm: 1e-1}"),
+    DEFAULT_CONFIG_YAML.replace("bandwidth_ref_hz: 25.0e+09", "bandwidth_ref_hz: 25e9"),
+    DEFAULT_CONFIG_YAML.replace("step_nm: 0.10}", "step_nm: 1e-1x}"),
+    DEFAULT_CONFIG_YAML.replace("step_nm: 0.10}", "step_nm: .nan}"),
+    DEFAULT_CONFIG_YAML.replace("seed: 20210412", "seed: -3"),
+], ids=["template", "unclosed", "duplicate", "1e-1", "25e9", "1e-1x", "nan", "seed-3"])
+def test_loader_bases_read_alike(tmp_path, monkeypatch, text):
+    # libyaml's parser and PyYAML's own give the same config or the same error;
+    # errors are compared by their first line, as the parsers word the
+    # position lines that follow differently
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    outcomes = []
+    for base in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(config, "_Loader", config._loader(base))
+        try:
+            outcomes.append(repr(replace(load_config(path), source="")))
+        except ConfigError as exc:
+            outcomes.append(f"ConfigError: {str(exc).splitlines()[0]}")
+    assert outcomes[0] == outcomes[1]
+    if text == DEFAULT_CONFIG_YAML:
+        assert outcomes[0] == repr(replace(default_config(), source=""))
 
 
 # --------------------------------------------------------------- round trips
