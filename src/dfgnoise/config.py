@@ -17,8 +17,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import yaml
-
 from .errors import ConfigError, DfgNoiseError
 from .params import (
     ConverterParams,
@@ -370,6 +368,7 @@ def _loader(base: type) -> type:
     an exponent without a dot or without a sign (``1e-1``, ``25e9``,
     ``1.0e9``) is a string under YAML 1.1.  A key given twice in one
     mapping is an error (a merged-in ``<<`` key may still be overridden)."""
+    import yaml
 
     class Loader(base):
         def construct_mapping(self, node, deep=False):
@@ -392,10 +391,33 @@ def _loader(base: type) -> type:
     return Loader
 
 
+# Built by _load_yaml on first use, so that commands which read no YAML
+# (``validate-config --write-template``) never import PyYAML.  It uses
 # libyaml's parser where PyYAML was built with it: it loads the template
 # about seven times faster.  The resolver and the constructor are PyYAML's
 # own with either base.
-_Loader = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+_Loader = None
+
+
+def _load_yaml(text: str, source: str):
+    """Parse YAML ``text``; a syntax error becomes a one-line ConfigError
+    ``source:line:column: problem (context)``."""
+    global _Loader
+    import yaml
+
+    if _Loader is None:
+        _Loader = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    try:
+        return yaml.load(text, Loader=_Loader)
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        where = f"{source}:{mark.line + 1}:{mark.column + 1}" if mark else source
+        context = f" ({exc.context})" if exc.context else ""
+        raise ConfigError(f"{where}: {exc.problem}{context}") from exc
+    except yaml.reader.ReaderError as exc:
+        # a character YAML does not allow; its second line names "<unicode string>"
+        raise ConfigError(f"{source}: character {exc.position + 1}: "
+                          f"{str(exc).splitlines()[0]}") from exc
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -408,16 +430,12 @@ def load_config(path: str | Path | None) -> RunConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        raw = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    return parse_config(raw, source=str(path))
+    return parse_config(_load_yaml(text, str(path)), source=str(path))
 
 
 def default_config() -> RunConfig:
     """The built-in reference device preset."""
-    return parse_config(yaml.load(DEFAULT_CONFIG_YAML, Loader=_Loader), source="<builtin>")
+    return parse_config(_load_yaml(DEFAULT_CONFIG_YAML, "<builtin>"), source="<builtin>")
 
 
 def write_template(path: str | Path) -> Path:

@@ -52,6 +52,7 @@ _MAX_DAMPING = 1e14
 _MAX_ITER = 200
 _FTOL = 1e-10
 _XTOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -123,7 +124,7 @@ def _numeric_jacobian(residual, x, r0):
 
 def lsq_minimize(
     residual: Callable[[np.ndarray], np.ndarray],
-    initial: Sequence[float],
+    initial: Sequence[float] | Sequence[Sequence[float]],
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
     names: Sequence[str] | None = None,
 ) -> FitResult:
@@ -135,78 +136,36 @@ def lsq_minimize(
     parameter is adapted multiplicatively: large damping makes steps
     gradient-descent-like, small damping Gauss-Newton-like.
 
+    ``initial`` is one start (n values) or a (k, n) array of starts.
+    Several starts are descended one after the other, in order, and the
+    one that ends at the lowest cost wins; on a tie the earlier start is
+    kept.  ``n_iterations``, ``converged`` and ``message`` are the
+    winner's, and the final Jacobian and covariance are computed for the
+    winner only.
+
     Convergence is declared when the relative cost change drops below
     ``_FTOL`` or the step norm below ``_XTOL`` (relative to the parameter
     norm).  After ``_MAX_ITER`` iterations the best point found is
     returned with ``converged=False``.  Singular normal equations are
     solved in the least-squares sense and reported in ``message``.
     """
-    x = np.asarray(initial, dtype=float).copy()
+    starts = np.array(initial, dtype=float, ndmin=2)
+    if starts.ndim != 2 or len(starts) == 0:
+        raise ParameterError("initial must be one start vector or a (k, n) array of starts")
+    n = starts.shape[1]
     if names is None:
-        names = [f"p{i}" for i in range(len(x))]
+        names = [f"p{i}" for i in range(n)]
     names = list(names)
-    if len(names) != len(x):
+    if len(names) != n:
         raise ParameterError("names and initial vector disagree in length")
 
-    r = np.asarray(residual(x), dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise FitFailureError("residuals are not finite at the initial point")
-    cost = float(r @ r)
-    m, n = len(r), len(x)
-
-    lam = 1e-4
-    rank_deficient = False
-    converged = False
-    message = f"iteration cap of {_MAX_ITER} reached"
-    n_iter = 0
-
-    for n_iter in range(1, _MAX_ITER + 1):
-        jac = jacobian(x) if jacobian is not None else _numeric_jacobian(residual, x, r)
-        jac = np.asarray(jac, dtype=float)
-        grad = jac.T @ r
-        hess = jac.T @ jac
-
-        accepted = False
-        step = np.zeros(n)
-        while lam <= _MAX_DAMPING:
-            damp = lam * np.diag(hess)
-            floor = lam * max(np.max(np.diag(hess)), 1e-30)
-            damp = np.maximum(damp, floor * 1e-10)
-            try:
-                step = np.linalg.solve(hess + np.diag(damp), -grad)
-            except np.linalg.LinAlgError:
-                rank_deficient = True
-                step = np.linalg.lstsq(hess + np.diag(damp), -grad, rcond=None)[0]
-            x_try = x + step
-            r_try = np.asarray(residual(x_try), dtype=float)
-            if np.all(np.isfinite(r_try)):
-                cost_try = float(r_try @ r_try)
-                if cost_try < cost:
-                    accepted = True
-                    break
-            lam *= 10.0
-        if not accepted:
-            # no downhill direction left: treat as converged at a stationary point
-            converged = True
-            message = "no further cost reduction possible"
-            break
-
-        x = x + step
-        prev_cost, cost, r = cost, cost_try, r_try
-        lam = max(lam / 9.0, 1e-12)
-
-        if cost == 0.0:
-            converged = True
-            message = "residuals vanished"
-            break
-        if (prev_cost - cost) < _FTOL * max(prev_cost, np.finfo(float).tiny):
-            converged = True
-            message = "relative cost change below ftol"
-            break
-        if np.linalg.norm(step) < _XTOL * max(1.0, np.linalg.norm(x)):
-            converged = True
-            message = "step norm below xtol"
-            break
+    best = None
+    for x0 in starts:
+        run = _descend(residual, jacobian, x0)
+        if best is None or run[2] < best[2]:  # final costs; a tie keeps the earlier
+            best = run
+    x, r, cost, n_iter, converged, message, rank_deficient = best
+    m = len(r)
 
     jac = jacobian(x) if jacobian is not None else _numeric_jacobian(residual, x, r)
     jac = np.asarray(jac, dtype=float)
@@ -239,6 +198,73 @@ def lsq_minimize(
     )
 
 
+def _descend(residual, jacobian, x):
+    """One Levenberg-Marquardt descent from ``x``.
+
+    Returns the final point, its residuals and cost, the iteration count,
+    the convergence flag and message, and whether a damped solve was
+    singular.
+    """
+    r = np.asarray(residual(x), dtype=float)
+    if not np.isfinite(r).all():
+        raise FitFailureError("residuals are not finite at the initial point")
+    cost = float(r @ r)
+
+    lam = 1e-4
+    rank_deficient = False
+    converged = False
+    message = f"iteration cap of {_MAX_ITER} reached"
+    n_iter = 0
+
+    for n_iter in range(1, _MAX_ITER + 1):
+        jac = jacobian(x) if jacobian is not None else _numeric_jacobian(residual, x, r)
+        jac = np.asarray(jac, dtype=float)
+        hess = jac.T @ jac
+        neg_grad = -(jac.T @ r)
+        diag = hess.diagonal()
+        diag_max = max(diag.max(), 1e-30)
+
+        accepted = False
+        while lam <= _MAX_DAMPING:
+            damp = np.maximum(lam * diag, lam * diag_max * 1e-10)
+            try:
+                step = np.linalg.solve(hess + np.diag(damp), neg_grad)
+            except np.linalg.LinAlgError:
+                rank_deficient = True
+                step = np.linalg.lstsq(hess + np.diag(damp), neg_grad, rcond=None)[0]
+            x_try = x + step
+            r_try = np.asarray(residual(x_try), dtype=float)
+            if np.isfinite(r_try).all():
+                cost_try = float(r_try @ r_try)
+                if cost_try < cost:
+                    accepted = True
+                    break
+            lam *= 10.0
+        if not accepted:
+            # no downhill direction left: treat as converged at a stationary point
+            converged = True
+            message = "no further cost reduction possible"
+            break
+
+        x, r = x_try, r_try
+        prev_cost, cost = cost, cost_try
+        lam = max(lam / 9.0, 1e-12)
+
+        if cost == 0.0:
+            converged = True
+            message = "residuals vanished"
+            break
+        if (prev_cost - cost) < _FTOL * max(prev_cost, _TINY):
+            converged = True
+            message = "relative cost change below ftol"
+            break
+        if math.sqrt(step.dot(step)) < _XTOL * max(1.0, math.sqrt(x.dot(x))):
+            converged = True
+            message = "step norm below xtol"
+            break
+    return x, r, cost, n_iter, converged, message, rank_deficient
+
+
 def _logit(p):
     return np.log(p / (1.0 - p))
 
@@ -248,8 +274,18 @@ def _sigmoid(u):
     return 1.0 / (1.0 + math.exp(min(-u, 709.0)))
 
 
+def _eta_model(p, eta_max, eta_n, length_cm):
+    """sin^2 model alone: the first output of :func:`_eta_model_and_grads`."""
+    s = np.sin(length_cm * np.sqrt(eta_n * p))
+    return eta_max * s * s
+
+
 def _eta_model_and_grads(p, eta_max, eta_n, length_cm):
-    """sin^2 model plus derivatives w.r.t. logit(eta_max) and log(eta_n)."""
+    """sin^2 model plus derivatives w.r.t. logit(eta_max) and log(eta_n).
+
+    Elementwise in ``p`` and ``eta_max``, which may be an array of the
+    same length (one saturation value per point).
+    """
     theta = length_cm * np.sqrt(eta_n * p)
     s = np.sin(theta)
     model = eta_max * s * s
@@ -302,40 +338,36 @@ def fit_efficiency_shared(
     else:
         start = (initial[0], initial[1], initial[2])
 
-    p_i, y_i, s_i = sweep_int.pump_w, sweep_int.value, sweep_int.sigma
-    p_e, y_e, s_e = sweep_ext.pump_w, sweep_ext.value, sweep_ext.sigma
+    # both sweeps stacked: one pump, value and sigma vector, and a mask of
+    # the internal points, which take eta_max_int (the others eta_max_ext)
+    p = np.concatenate([sweep_int.pump_w, sweep_ext.pump_w])
+    y = np.concatenate([sweep_int.value, sweep_ext.value])
+    sigma = np.concatenate([sweep_int.sigma, sweep_ext.sigma])
+    n_int = len(sweep_int)
+    is_int = np.arange(len(p)) < n_int
 
     def residual(u):
-        a_i, a_e, eta_n = _sigmoid(u[0]), _sigmoid(u[1]), np.exp(u[2])
-        m_i, _, _ = _eta_model_and_grads(p_i, a_i, eta_n, length_cm)
-        m_e, _, _ = _eta_model_and_grads(p_e, a_e, eta_n, length_cm)
-        return np.concatenate([(y_i - m_i) / s_i, (y_e - m_e) / s_e])
+        eta_max = np.where(is_int, _sigmoid(u[0]), _sigmoid(u[1]))
+        return (y - _eta_model(p, eta_max, np.exp(u[2]), length_cm)) / sigma
 
     def jac(u):
-        a_i, a_e, eta_n = _sigmoid(u[0]), _sigmoid(u[1]), np.exp(u[2])
-        _, di_logit, di_log = _eta_model_and_grads(p_i, a_i, eta_n, length_cm)
-        _, de_logit, de_log = _eta_model_and_grads(p_e, a_e, eta_n, length_cm)
-        out = np.zeros((len(p_i) + len(p_e), 3))
-        out[: len(p_i), 0] = -di_logit / s_i
-        out[: len(p_i), 2] = -di_log / s_i
-        out[len(p_i):, 1] = -de_logit / s_e
-        out[len(p_i):, 2] = -de_log / s_e
+        eta_max = np.where(is_int, _sigmoid(u[0]), _sigmoid(u[1]))
+        _, d_logit, d_log = _eta_model_and_grads(p, eta_max, np.exp(u[2]), length_cm)
+        d_logit = -d_logit / sigma
+        out = np.zeros((len(p), 3))
+        out[:n_int, 0] = d_logit[:n_int]
+        out[n_int:, 1] = d_logit[n_int:]
+        out[:, 2] = -d_log / sigma
         return out
 
     # the sin^2 model has secondary cost basins when eta_n starts far off;
-    # restart from a small ladder of eta_n rescalings and keep the best
-    raw = None
-    for factor in (1.0, 0.25, 4.0):
-        u0 = np.array([
-            _logit(np.clip(start[0], 1e-3, 1 - 1e-3)),
-            _logit(np.clip(start[1], 1e-3, 1 - 1e-3)),
-            np.log(max(start[2] * factor, 1e-12)),
-        ])
-        candidate = lsq_minimize(residual, u0, jacobian=jac,
-                                 names=["u_int", "u_ext", "log_eta_n"])
-        cand_cost = float(residual(candidate.as_vector()) @ residual(candidate.as_vector()))
-        if raw is None or cand_cost < best_cost:
-            raw, best_cost = candidate, cand_cost
+    # start from a small ladder of eta_n rescalings, the best one wins
+    u_int = _logit(np.clip(start[0], 1e-3, 1 - 1e-3))
+    u_ext = _logit(np.clip(start[1], 1e-3, 1 - 1e-3))
+    starts = [[u_int, u_ext, np.log(max(start[2] * factor, 1e-12))]
+              for factor in (1.0, 0.25, 4.0)]
+    raw = lsq_minimize(residual, starts, jacobian=jac,
+                       names=["u_int", "u_ext", "log_eta_n"])
 
     u = raw.as_vector()
     theta = np.array([_sigmoid(u[0]), _sigmoid(u[1]), np.exp(u[2])])

@@ -176,14 +176,24 @@ def visible_in_band_fraction(cfg: RunConfig) -> float:
     vis_params = _vis_params(cfg)
     fundamental = [cfg.modes[0]]
     step = min(m.fwhm_peak_nm for m in cfg.modes) / 20.0
-    lo = min(m.lambda_vis_nm for m in cfg.modes) - 2.0
-    hi = max(m.lambda_vis_nm for m in cfg.modes) + 2.0
+    peaks = [m.lambda_vis_nm for m in cfg.modes]
+    lo = min(peaks) - 2.0
+    hi = max(peaks) + 2.0
     grid = np.arange(lo, hi, step)
     # the fraction is pump-independent: every dip shares the same depth factor
     p_ref = cfg.sweep.pump_max_w
     total = spectra.visible_spectrum(vis_params, cfg.modes, p_ref, grid, collection=smf)
     target = spectra.visible_spectrum(vis_params, fundamental, p_ref, grid, collection=smf)
-    return spectra.band_fraction(target, total, cfg.bp_filter)
+    try:
+        return spectra.band_fraction(target, total, cfg.bp_filter)
+    except ParameterError as exc:
+        # the two spectra share one grid, so the bandpass misses every peak
+        bp = cfg.bp_filter
+        raise ParameterError(
+            f"the visible bandpass passes none of the peaks at "
+            f"{min(peaks):.1f}-{max(peaks):.1f} nm: "
+            f"filters.bp.center_nm is {bp.center_nm} nm (0 when left out), "
+            f"filters.bp.fwhm_nm is {bp.fwhm_nm} nm") from exc
 
 
 def simulate_power_sweep(cfg: RunConfig, seed: int, out_dir: Path, kind: str) -> Path:

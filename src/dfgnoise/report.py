@@ -8,8 +8,6 @@ between the telecom and visible noise coefficients.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import converter
 from .config import RunConfig
 from .dataio import apply_efficiency_fit, fitted_values
@@ -41,6 +39,9 @@ def build_report(
     bandwidth for the rescaled noise-rate figure.
     """
     params = cfg.converter
+    # the fitted coefficients stay out of ConverterParams, which rejects a
+    # negative alpha_n: their estimators are unbiased and may fall below zero
+    alpha_tele = params.alpha_n
     alpha_vis = cfg.alpha_n_visible
     fitted = {}  # sigma (or None) of each fitted parameter
     if efficiency_fit is not None:
@@ -50,7 +51,7 @@ def build_report(
         fitted.update(sigmas)
     if noise_fit is not None:
         alphas, sigmas = fitted_values(noise_fit, "noise fit", ("alpha_n_tele", "alpha_n_vis"))
-        params = replace(params, alpha_n=alphas.get("alpha_n_tele", params.alpha_n))
+        alpha_tele = alphas.get("alpha_n_tele", alpha_tele)
         alpha_vis = alphas.get("alpha_n_vis", alpha_vis)
         fitted.update(sigmas)
 
@@ -59,17 +60,20 @@ def build_report(
             else "none (eta_n is zero)")
     p_max = cfg.sweep.pump_max_w
     depth = converter.dip_depth(params, p_max)
-    per_mode = converter.photons_per_mode(params.alpha_n, params.bandwidth_ref_hz)
-    rescaled = converter.rescale_alpha_to_bandwidth(
-        params.alpha_n, params.bandwidth_ref_hz, mode_bandwidth_hz
-    )
+    # photon numbers and rates need a non-negative coefficient
+    per_mode = rescaled = "none (needs alpha_n_tele >= 0)"
+    if alpha_tele >= 0:
+        per_mode = f"{converter.photons_per_mode(alpha_tele, params.bandwidth_ref_hz):.3g} /(W cm)"
+        rate = converter.rescale_alpha_to_bandwidth(alpha_tele, params.bandwidth_ref_hz,
+                                                    mode_bandwidth_hz)
+        rescaled = f"{rate:.3g} Hz/(W cm)"
 
     # telecom coefficient extrapolated from the filter bandwidth to the
     # full dip bandwidth, to compare against the visible coefficient
     tg_fwhm = cfg.tg_filter.fwhm_nm
     dip_fwhm = cfg.modes[0].fwhm_dip_nm
     bw_ratio = dip_fwhm / tg_fwhm
-    alpha_tele_full = converter.rescale_alpha_to_bandwidth(params.alpha_n, 1.0, bw_ratio)
+    alpha_tele_full = converter.rescale_alpha_to_bandwidth(alpha_tele, 1.0, bw_ratio)
     ratio = alpha_tele_full / alpha_vis if alpha_vis > 0 else float("nan")
 
     lines = [
@@ -80,7 +84,7 @@ def build_report(
         _param_line("eta_max_int", params.eta_max_int, "", fitted),
         _param_line("eta_max_ext", params.eta_max_ext, "", fitted),
         _param_line("eta_n", params.eta_n, "/(W cm^2)", fitted),
-        _param_line("alpha_n_tele", params.alpha_n, "kHz/(W cm)", fitted, scale=1e3),
+        _param_line("alpha_n_tele", alpha_tele, "kHz/(W cm)", fitted, scale=1e3),
         _param_line("alpha_n_vis", alpha_vis, "kHz/(W cm)", fitted, scale=1e3),
         f"  length         {params.length_cm:.4g} cm",
         f"  alpha_n bandwidth {params.bandwidth_ref_hz:.4g} Hz",
@@ -88,15 +92,14 @@ def build_report(
         "derived figures",
         f"  peak pump power: {peak}",
         f"  dip depth at {p_max:.2f} W: {depth:.3f}",
-        f"  noise per spectro-temporal mode at {params.bandwidth_ref_hz:.3g} Hz: "
-        f"{per_mode:.3g} /(W cm)",
-        f"  noise rate in a {mode_bandwidth_hz:.3g} Hz bandwidth: {rescaled:.3g} Hz/(W cm)",
+        f"  noise per spectro-temporal mode at {params.bandwidth_ref_hz:.3g} Hz: {per_mode}",
+        f"  noise rate in a {mode_bandwidth_hz:.3g} Hz bandwidth: {rescaled}",
         "",
         "telecom vs visible bandwidth reconciliation",
-        f"  telecom coefficient {params.alpha_n / 1e3:.1f} kHz/(W cm) in the "
+        f"  telecom coefficient {alpha_tele / 1e3:.1f} kHz/(W cm) in the "
         f"{tg_fwhm * 1e3:.0f} pm filter bandwidth",
         f"  dip bandwidth {dip_fwhm * 1e3:.0f} pm -> ratio {bw_ratio:.2f}",
-        f"  extrapolated to the full dip: {params.alpha_n / 1e3:.1f} x {bw_ratio:.2f} "
+        f"  extrapolated to the full dip: {alpha_tele / 1e3:.1f} x {bw_ratio:.2f} "
         f"= {alpha_tele_full / 1e3:.1f} kHz/(W cm)",
         f"  visible coefficient: {alpha_vis / 1e3:.1f} kHz/(W cm)",
         f"  extrapolated/visible ratio: {ratio:.2f}"

@@ -86,6 +86,20 @@ def test_noise_vis_sweep_without_visible_noise_names_the_key(tmp_path, outdir, c
         "error: no visible noise in the TEM00 peak to sweep: device.eta_n_per_w_cm2 is 0\n")
 
 
+def test_noise_vis_sweep_with_bandpass_off_the_peaks_names_the_keys(tmp_path, outdir, capsys):
+    # center_nm may be left out; it then defaults to 0 nm, far from every peak
+    config = tmp_path / "run.yaml"
+    config.write_text(write_template(tmp_path / "base.yaml").read_text().replace(
+        "bp: {shape: gaussian, fwhm_nm: 10.0, center_nm: 580.0, peak_transmission: 0.90}",
+        "bp: {shape: gaussian, fwhm_nm: 10.0}"))
+    assert run("validate-config", "--config", str(config)) == cli.EXIT_OK
+    assert run("simulate", "power-sweep", "--kind", "noise_vis", "--config", str(config),
+               "--out", str(outdir)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "filters.bp.center_nm is 0.0 nm" in err and "filters.bp.fwhm_nm is 10.0 nm" in err
+
+
 def test_simulate_power_sweep_requires_kind(outdir):
     err = usage_error(outdir, "simulate", "power-sweep", "--out", str(outdir))
     assert "the following arguments are required: --kind" in err
@@ -470,6 +484,67 @@ def test_report_labels_fitted_sigmas(outdir):
     assert lines["alpha_n_vis"].endswith("391 kHz/(W cm)  (configured)")
 
 
+_DEFAULT_CHAIN_REPORT = """\
+converter characterization report
+=================================
+
+device parameters
+  eta_max_int    0.6715 +/- 0.004   (fitted)
+  eta_max_ext    0.461 +/- 0.0028   (fitted)
+  eta_n          0.6279 +/- 0.0041 /(W cm^2)  (fitted)
+  alpha_n_tele   129.3 +/- 0.75 kHz/(W cm)  (fitted)
+  alpha_n_vis    390.6 +/- 2.6 kHz/(W cm)  (fitted)
+  length         4 cm
+  alpha_n bandwidth 2.5e+10 Hz
+
+derived figures
+  peak pump power: 0.2456 W
+  dip depth at 0.44 W: 0.406
+  noise per spectro-temporal mode at 2.5e+10 Hz: 5.17e-06 /(W cm)
+  noise rate in a 1e+06 Hz bandwidth: 5.17 Hz/(W cm)
+
+telecom vs visible bandwidth reconciliation
+  telecom coefficient 129.3 kHz/(W cm) in the 200 pm filter bandwidth
+  dip bandwidth 500 pm -> ratio 2.50
+  extrapolated to the full dip: 129.3 x 2.50 = 323.2 kHz/(W cm)
+  visible coefficient: 390.6 kHz/(W cm)
+  extrapolated/visible ratio: 0.83  (consistent within the flat-noise picture)
+"""
+
+
+def test_report_of_the_default_chain_and_of_a_negative_alpha_n(outdir):
+    assert run("simulate", "efficiency", "--out", str(outdir)) == 0
+    for kind in ("noise_tele_detuned", "noise_vis"):
+        assert run("simulate", "power-sweep", "--kind", kind, "--out", str(outdir)) == 0
+    assert run("fit", "efficiency", "--internal", str(outdir / "efficiency_int.csv"),
+               "--external", str(outdir / "efficiency_ext.csv"), "--out", str(outdir)) == 0
+    assert run("fit", "noise", "--detuned", str(outdir / "sweep_noise_tele_detuned.csv"),
+               "--visible", str(outdir / "sweep_noise_vis.csv"),
+               "--efficiency-fit", str(outdir / "fit_efficiency.json"), "--out", str(outdir)) == 0
+    fits = ["--efficiency-fit", str(outdir / "fit_efficiency.json"), "--out", str(outdir)]
+    assert run("report", "--noise-fit", str(outdir / "fit_noise.json"), *fits) == 0
+    assert (outdir / "report.txt").read_text() == _DEFAULT_CHAIN_REPORT
+
+    # the telecom estimator is unbiased and may fall below zero (a short
+    # integration time): the report prints it and says which figures need
+    # a non-negative value
+    noise = json.loads((outdir / "fit_noise.json").read_text())
+    noise["parameters"]["alpha_n_tele"] = -3e4
+    (outdir / "negative.json").write_text(json.dumps(noise))
+    assert run("report", "--noise-fit", str(outdir / "negative.json"), *fits) == 0
+    changed = [(old, new) for old, new in zip(_DEFAULT_CHAIN_REPORT.splitlines(),
+                                              (outdir / "report.txt").read_text().splitlines())
+               if old != new]
+    assert [new for _, new in changed] == [
+        "  alpha_n_tele   -30 +/- 0.75 kHz/(W cm)  (fitted)",
+        "  noise per spectro-temporal mode at 2.5e+10 Hz: none (needs alpha_n_tele >= 0)",
+        "  noise rate in a 1e+06 Hz bandwidth: none (needs alpha_n_tele >= 0)",
+        "  telecom coefficient -30.0 kHz/(W cm) in the 200 pm filter bandwidth",
+        "  extrapolated to the full dip: -30.0 x 2.50 = -75.0 kHz/(W cm)",
+        "  extrapolated/visible ratio: -0.19  (check model assumptions)",
+    ]
+
+
 # ----------------------------------------------------------- validate-config
 
 def test_validate_config_ok(tmp_path):
@@ -595,11 +670,12 @@ def test_import_dfgnoise_does_not_load_numpy():
 
 @pytest.mark.parametrize("option", ["--config", "--write-template"])
 def test_validate_config_runs_without_numpy(tmp_path, option):
+    # writing the template reads no YAML, so it does not import PyYAML either
     path = write_template(tmp_path / "run.yaml")
     probe = ("from dfgnoise import cli; code = cli.main(sys.argv[2:]); "
-             "print(code, 'numpy' in sys.modules)")
+             "print(code, 'numpy' in sys.modules, 'yaml' in sys.modules)")
     out = _fresh_process(probe, "validate-config", option, str(path))
-    assert out.splitlines()[-1] == "0 False"
+    assert out.splitlines()[-1] == f"0 False {option == '--config'}"
 
 
 def test_every_public_name_resolves():

@@ -1,5 +1,6 @@
 """Tests for configuration validation and file round trips."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -105,11 +106,27 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.yaml")
 
 
-def test_load_config_bad_yaml(tmp_path):
+def _one_line_yaml_error(tmp_path, capsys, text, pattern):
+    """The ConfigError of a YAML file holding ``text`` is one line, the
+    file's path followed by ``pattern``, and the CLI prints just that."""
     path = tmp_path / "broken.yaml"
-    path.write_text("seed: [unclosed")
-    with pytest.raises(ConfigError, match="not valid YAML"):
+    path.write_text(text)
+    with pytest.raises(ConfigError) as excinfo:
         load_config(path)
+    assert re.fullmatch(re.escape(str(path)) + pattern, str(excinfo.value))
+    assert cli.main(["validate-config", "--config", str(path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {excinfo.value}\n"
+
+
+def test_load_config_bad_yaml(tmp_path, capsys):
+    # file:line:column: problem (context); the parser words the problem
+    _one_line_yaml_error(tmp_path, capsys, "seed: [unclosed",
+                         r":\d+:\d+: .+ \(while parsing a flow sequence\)")
+
+
+def test_load_config_bad_character(tmp_path, capsys):
+    _one_line_yaml_error(tmp_path, capsys, "seed: \x00",
+                         r": character 7: unacceptable character #x0000: .+")
 
 
 def test_duplicate_key_rejected(tmp_path, capsys):
@@ -260,8 +277,9 @@ def test_non_numeric_strings_still_rejected(tmp_path, capsys, spelling):
 ], ids=["template", "unclosed", "duplicate", "1e-1", "25e9", "1e-1x", "nan", "seed-3"])
 def test_loader_bases_read_alike(tmp_path, monkeypatch, text):
     # libyaml's parser and PyYAML's own give the same config or the same error;
-    # errors are compared by their first line, as the parsers word the
-    # position lines that follow differently
+    # errors are compared by their first line, and a syntax error
+    # (`file:line:column: problem (context)`) by its file and context, as
+    # the parsers word the problem and place its mark differently
     path = tmp_path / "run.yaml"
     path.write_text(text)
     outcomes = []
@@ -270,7 +288,8 @@ def test_loader_bases_read_alike(tmp_path, monkeypatch, text):
         try:
             outcomes.append(repr(replace(load_config(path), source="")))
         except ConfigError as exc:
-            outcomes.append(f"ConfigError: {str(exc).splitlines()[0]}")
+            first = re.sub(r":\d+:\d+: .*?( \(.*\))?$", r"\1", str(exc).splitlines()[0])
+            outcomes.append(f"ConfigError: {first}")
     assert outcomes[0] == outcomes[1]
     if text == DEFAULT_CONFIG_YAML:
         assert outcomes[0] == repr(replace(default_config(), source=""))
