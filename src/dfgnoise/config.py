@@ -140,8 +140,9 @@ class SweepSettings:
     def __post_init__(self):
         if self.pump_min_w < 0 or self.pump_max_w <= self.pump_min_w:
             raise ConfigError("sweep powers must satisfy 0 <= pump_min_w < pump_max_w")
-        if self.n_points < 2:
-            raise ConfigError("sweep n_points must be at least 2")
+        if self.n_points < 3:
+            raise ConfigError(f"n_points must be at least 3, the efficiency fit's minimum "
+                              f"per sweep, got {self.n_points}")
         if self.efficiency_noise_rel < 0:
             raise ConfigError("efficiency_noise_rel must be non-negative")
 

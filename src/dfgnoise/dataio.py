@@ -341,11 +341,17 @@ _EFFICIENCY_PARAMETERS = ["eta_max_int", "eta_max_ext", "eta_n"]
 
 def apply_efficiency_fit(params: ConverterParams, fit: dict) -> ConverterParams:
     """``params`` with the efficiencies and conversion parameter of a parsed
-    efficiency-fit payload (see :func:`write_fit_json`) swapped in."""
+    efficiency-fit payload (see :func:`write_fit_json`) swapped in.
+
+    The fit does not bound eta_max_ext by eta_max_int, so a device with
+    lossless coupling may fit with eta_max_ext just above eta_max_int.
+    eta_max_ext is capped at eta_max_int here, as :class:`ConverterParams`
+    requires; no noise model reads it."""
     fitted = _object("efficiency fit", fit, "parameters")
-    return replace(params, **{
-        key: _number("efficiency fit", f"parameters.{key}", fitted.get(key, _MISSING))
-        for key in _EFFICIENCY_PARAMETERS})
+    values = {key: _number("efficiency fit", f"parameters.{key}", fitted.get(key, _MISSING))
+              for key in _EFFICIENCY_PARAMETERS}
+    values["eta_max_ext"] = min(values["eta_max_ext"], values["eta_max_int"])
+    return replace(params, **values)
 
 
 def efficiency_fit_covariance(fit: dict) -> np.ndarray:

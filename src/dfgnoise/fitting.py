@@ -27,6 +27,7 @@ import numpy as np
 from . import converter
 from .converter import ConverterParams, suppression_depth
 from .errors import FitFailureError, InsufficientDataError, ParameterError
+from .params import NOISE_SWEEP_KINDS
 
 __all__ = [
     "PowerSweep",
@@ -39,13 +40,7 @@ __all__ = [
     "predict_noise_curves",
 ]
 
-SWEEP_KINDS = (
-    "efficiency_int",
-    "efficiency_ext",
-    "noise_tele_onpeak",
-    "noise_tele_detuned",
-    "noise_vis",
-)
+SWEEP_KINDS = ("efficiency_int", "efficiency_ext") + NOISE_SWEEP_KINDS
 
 _MAX_DAMPING = 1e14
 # iteration cap and convergence tolerances of lsq_minimize
@@ -106,33 +101,23 @@ class FitResult:
     n_iterations: int
     converged: bool
     message: str
-    n_points: int = 0
+    n_points: int
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.values[n] for n in self.names])
 
 
-def _numeric_jacobian(residual, x, r0):
-    jac = np.empty((len(r0), len(x)))
-    for j in range(len(x)):
-        h = 1e-7 * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        jac[:, j] = (np.asarray(residual(xp), dtype=float) - r0) / h
-    return jac
-
-
 def lsq_minimize(
     residual: Callable[[np.ndarray], np.ndarray],
     initial: Sequence[float] | Sequence[Sequence[float]],
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
-    names: Sequence[str] | None = None,
+    jacobian: Callable[[np.ndarray], np.ndarray],
+    names: Sequence[str],
 ) -> FitResult:
     """Minimize the sum of squared residuals with damped least squares.
 
     ``residual`` maps a parameter vector to the vector of weighted
-    residuals; ``jacobian``, if given, returns the (m, n) matrix of its
-    partial derivatives (forward differences otherwise).  The damping
+    residuals; ``jacobian`` returns the (m, n) matrix of its partial
+    derivatives, and ``names`` names the n parameters.  The damping
     parameter is adapted multiplicatively: large damping makes steps
     gradient-descent-like, small damping Gauss-Newton-like.
 
@@ -153,8 +138,6 @@ def lsq_minimize(
     if starts.ndim != 2 or len(starts) == 0:
         raise ParameterError("initial must be one start vector or a (k, n) array of starts")
     n = starts.shape[1]
-    if names is None:
-        names = [f"p{i}" for i in range(n)]
     names = list(names)
     if len(names) != n:
         raise ParameterError("names and initial vector disagree in length")
@@ -167,8 +150,7 @@ def lsq_minimize(
     x, r, cost, n_iter, converged, message, rank_deficient = best
     m = len(r)
 
-    jac = jacobian(x) if jacobian is not None else _numeric_jacobian(residual, x, r)
-    jac = np.asarray(jac, dtype=float)
+    jac = np.asarray(jacobian(x), dtype=float)
     hess = jac.T @ jac
     if np.linalg.matrix_rank(hess) < n:
         rank_deficient = True
@@ -217,8 +199,7 @@ def _descend(residual, jacobian, x):
     n_iter = 0
 
     for n_iter in range(1, _MAX_ITER + 1):
-        jac = jacobian(x) if jacobian is not None else _numeric_jacobian(residual, x, r)
-        jac = np.asarray(jac, dtype=float)
+        jac = np.asarray(jacobian(x), dtype=float)
         hess = jac.T @ jac
         neg_grad = -(jac.T @ r)
         diag = hess.diagonal()
@@ -313,7 +294,6 @@ def fit_efficiency_shared(
     sweep_int: PowerSweep,
     sweep_ext: PowerSweep,
     length_cm: float,
-    initial: tuple[float, float, float] | None = None,
 ) -> FitResult:
     """Joint fit of both efficiency sweeps with a shared conversion parameter.
 
@@ -322,21 +302,11 @@ def fit_efficiency_shared(
     separate.  Internally the fit runs in logit(eta_max) / log(eta_n)
     coordinates so the range constraints need no bounded optimizer;
     results and covariance are reported in natural units.
-
-    ``initial`` optionally overrides the automatic starting point as
-    (eta_max_int, eta_max_ext, eta_n).
     """
     if len(sweep_int) < 3 or len(sweep_ext) < 3:
         raise InsufficientDataError("need at least 3 points per efficiency sweep")
     if length_cm <= 0:
         raise ParameterError("length_cm must be positive")
-
-    if initial is None:
-        g_int, en_int = _initial_efficiency_guess(sweep_int, length_cm)
-        g_ext, en_ext = _initial_efficiency_guess(sweep_ext, length_cm)
-        start = (g_int, g_ext, np.sqrt(en_int * en_ext))
-    else:
-        start = (initial[0], initial[1], initial[2])
 
     # both sweeps stacked: one pump, value and sigma vector, and a mask of
     # the internal points, which take eta_max_int (the others eta_max_ext)
@@ -362,9 +332,10 @@ def fit_efficiency_shared(
 
     # the sin^2 model has secondary cost basins when eta_n starts far off;
     # start from a small ladder of eta_n rescalings, the best one wins
-    u_int = _logit(np.clip(start[0], 1e-3, 1 - 1e-3))
-    u_ext = _logit(np.clip(start[1], 1e-3, 1 - 1e-3))
-    starts = [[u_int, u_ext, np.log(max(start[2] * factor, 1e-12))]
+    g_int, en_int = _initial_efficiency_guess(sweep_int, length_cm)
+    g_ext, en_ext = _initial_efficiency_guess(sweep_ext, length_cm)
+    en_start = np.sqrt(en_int * en_ext)
+    starts = [[_logit(g_int), _logit(g_ext), np.log(max(en_start * factor, 1e-12))]
               for factor in (1.0, 0.25, 4.0)]
     raw = lsq_minimize(residual, starts, jacobian=jac,
                        names=["u_int", "u_ext", "log_eta_n"])
@@ -482,27 +453,22 @@ class NoiseCurves:
     telecom_onpeak: Callable[[np.ndarray], np.ndarray]
     telecom_detuned: Callable[[np.ndarray], np.ndarray]
     visible: Callable[[np.ndarray], np.ndarray]
-    visible_quadratic: Callable[[np.ndarray], np.ndarray]
 
 
-def predict_noise_curves(
-    params: ConverterParams, alpha_n_visible: float | None = None
-) -> NoiseCurves:
+def predict_noise_curves(params: ConverterParams, alpha_n_visible: float) -> NoiseCurves:
     """Forward noise-rate predictions from an already-determined parameter set.
 
-    The telecom curves use ``params.alpha_n``; the visible curves use
-    ``alpha_n_visible`` when given (the visible coefficient refers to the
-    full dip bandwidth rather than the telecom filter bandwidth), else
-    fall back to ``params.alpha_n``.  Detuned from phase matching, no
-    noise is converted back, so the detuned curve is the on-peak one of a
-    device with zero efficiencies: the linear alpha_n * P * L.  No
-    parameter is re-tuned here.
+    The telecom curves use ``params.alpha_n``; the visible curve uses
+    ``alpha_n_visible`` (the visible coefficient refers to the full dip
+    bandwidth rather than the telecom filter bandwidth).  Detuned from
+    phase matching, no noise is converted back, so the detuned curve is
+    the on-peak one of a device with zero efficiencies: the linear
+    alpha_n * P * L.  No parameter is re-tuned here.
     """
-    vis_params = params if alpha_n_visible is None else replace(params, alpha_n=alpha_n_visible)
+    vis_params = replace(params, alpha_n=alpha_n_visible)
     detuned = replace(params, eta_max_int=0.0, eta_max_ext=0.0)
     return NoiseCurves(
         telecom_onpeak=lambda p: converter.telecom_noise_rate(params, p),
         telecom_detuned=lambda p: converter.telecom_noise_rate(detuned, p),
         visible=lambda p: converter.visible_noise_rate(vis_params, p),
-        visible_quadratic=lambda p: converter.visible_noise_rate_lowpower(vis_params, p),
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import converter, counting, dataio, spectra
 from .config import RunConfig, ScanGrid, SweepSettings
-from .errors import DataFormatError, ParameterError
+from .errors import DataFormatError, InsufficientDataError, ParameterError
 from .fitting import (
     FitResult,
     PowerSweep,
@@ -25,7 +25,7 @@ from .fitting import (
     fit_efficiency_shared,
     predict_noise_curves,
 )
-from .params import NOISE_SWEEP_KINDS
+from .params import NOISE_SWEEP_KINDS, FilterProfile
 
 __all__ = [
     "simulate_efficiency",
@@ -36,7 +36,6 @@ __all__ = [
     "sweep_from_counts",
     "run_fit_efficiency",
     "run_fit_noise",
-    "NOISE_SWEEP_KINDS",
 ]
 
 # sub-stream indices of the run seed, one per data product
@@ -97,7 +96,7 @@ def simulate_efficiency(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
 
 
 def _simulate_scan(
-    seed: int, stream: int, scan_cfg: ScanGrid, instrument: spectra.FilterProfile, widths,
+    seed: int, stream: int, scan_cfg: ScanGrid, instrument: FilterProfile, widths,
     intrinsic, chain, path: Path, metadata: dict,
 ) -> Path:
     """Synthetic scan: the spectrum ``intrinsic(grid_nm)`` on a grid fine
@@ -147,7 +146,7 @@ def simulate_visible_spectrum(
     p = cfg.sweep.pump_max_w if pump_w is None else pump_w
     return _simulate_scan(
         seed, _STREAM_VIS_SPECTRUM, cfg.visible_scan,
-        spectra.FilterProfile(shape="gaussian", fwhm_nm=cfg.spectrometer_fwhm_nm),
+        FilterProfile(shape="gaussian", fwhm_nm=cfg.spectrometer_fwhm_nm),
         [m.fwhm_peak_nm for m in cfg.modes],
         lambda grid: spectra.visible_spectrum(_vis_params(cfg), cfg.modes, p, grid,
                                               collection=cfg.collection[collection]),
@@ -305,6 +304,9 @@ def run_fit_noise(
         sweep = sweep_from_counts(Path(path), cfg)
         if sweep.kind != expected:
             raise DataFormatError(f"{path}: expected a {expected} sweep, got {sweep.kind!r}")
+        if suffix == "tele" and len(sweep) < n_points:
+            raise InsufficientDataError(f"{path} has {len(sweep)} points, fewer than the "
+                                        f"{n_points} that --points asks the linear fit to use")
         fit = fit_sweep(sweep)
         name = f"alpha_n_{suffix}"
         names.append(name)

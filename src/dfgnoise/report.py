@@ -40,14 +40,17 @@ def build_report(
     """
     params = cfg.converter
     # the fitted coefficients stay out of ConverterParams, which rejects a
-    # negative alpha_n: their estimators are unbiased and may fall below zero
+    # negative alpha_n: their estimators are unbiased and may fall below zero.
+    # So does the fitted eta_max_ext, which may exceed eta_max_int
+    eta_ext = params.eta_max_ext
     alpha_tele = params.alpha_n
     alpha_vis = cfg.alpha_n_visible
     fitted = {}  # sigma (or None) of each fitted parameter
     if efficiency_fit is not None:
         params = apply_efficiency_fit(params, efficiency_fit)
-        _, sigmas = fitted_values(efficiency_fit, "efficiency fit",
-                                  ("eta_max_int", "eta_max_ext", "eta_n"))
+        values, sigmas = fitted_values(efficiency_fit, "efficiency fit",
+                                       ("eta_max_int", "eta_max_ext", "eta_n"))
+        eta_ext = values["eta_max_ext"]
         fitted.update(sigmas)
     if noise_fit is not None:
         alphas, sigmas = fitted_values(noise_fit, "noise fit", ("alpha_n_tele", "alpha_n_vis"))
@@ -82,7 +85,7 @@ def build_report(
         "",
         "device parameters",
         _param_line("eta_max_int", params.eta_max_int, "", fitted),
-        _param_line("eta_max_ext", params.eta_max_ext, "", fitted),
+        _param_line("eta_max_ext", eta_ext, "", fitted),
         _param_line("eta_n", params.eta_n, "/(W cm^2)", fitted),
         _param_line("alpha_n_tele", alpha_tele, "kHz/(W cm)", fitted, scale=1e3),
         _param_line("alpha_n_vis", alpha_vis, "kHz/(W cm)", fitted, scale=1e3),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,15 +27,13 @@ from .errors import (
     ResolutionError,
 )
 from .fitting import FitResult, lsq_minimize
-# sfg_mode_from_telecom and check_mode_energy_conservation stay importable from here
-from .params import FilterProfile, SfgMode, check_mode_energy_conservation, sfg_mode_from_telecom
+
+if TYPE_CHECKING:  # annotations only
+    from .params import FilterProfile, SfgMode
 
 __all__ = [
-    "SfgMode",
     "SpectralScan",
-    "FilterProfile",
     "GaussianFeature",
-    "sfg_mode_from_telecom",
     "filter_transmission",
     "gaussian_profile",
     "telecom_spectrum",

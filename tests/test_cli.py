@@ -343,7 +343,8 @@ def test_fit_nonconvergence_exit_code(outdir, monkeypatch):
     def fake_fit(cfg, a, b, out):
         result = FitResult(names=["x"], values={"x": 1.0}, sigmas={"x": 1.0},
                            covariance=np.eye(1), chi2_reduced=1.0, n_iterations=200,
-                           converged=False, message="iteration cap of 200 reached")
+                           converged=False, message="iteration cap of 200 reached",
+                           n_points=1)
         return result, out / "fit_efficiency.json"
 
     monkeypatch.setattr(pipelines, "run_fit_efficiency", fake_fit)
@@ -545,6 +546,48 @@ def test_report_of_the_default_chain_and_of_a_negative_alpha_n(outdir):
     ]
 
 
+def test_fitted_eta_max_ext_above_eta_max_int_is_accepted(tmp_path, capsys):
+    # eta_max_ext equal to eta_max_int is a device with lossless coupling;
+    # the fit does not bound ext by int, so it lands above int on some seeds
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(write_template(tmp_path / "base.yaml").read_text().replace(
+        "eta_max_ext: 0.46", "eta_max_ext: 0.67"))
+    above = 0
+    for seed in range(1, 11):
+        out = tmp_path / str(seed)
+        common = ["--config", str(cfg), "--out", str(out)]
+        assert run("simulate", "efficiency", *common, "--seed", str(seed)) == 0
+        for kind in ("noise_tele_detuned", "noise_vis"):
+            assert run("simulate", "power-sweep", "--kind", kind, *common, "--seed", str(seed)) == 0
+        assert run("fit", "efficiency", *common, "--internal", str(out / "efficiency_int.csv"),
+                   "--external", str(out / "efficiency_ext.csv")) == 0
+        fitted = dataio.read_fit_json(out / "fit_efficiency.json")["parameters"]
+        above += fitted["eta_max_ext"] > fitted["eta_max_int"]
+        eff = ["--efficiency-fit", str(out / "fit_efficiency.json")]
+        assert run("fit", "noise", *common, *eff,
+                   "--detuned", str(out / "sweep_noise_tele_detuned.csv"),
+                   "--visible", str(out / "sweep_noise_vis.csv")) == 0, capsys.readouterr().err
+        assert run("report", *common, *eff, "--noise-fit", str(out / "fit_noise.json")) == 0
+        # the report shows the fitted external efficiency, not a capped one
+        assert f"eta_max_ext    {fitted['eta_max_ext']:.4g} +/-" in (out / "report.txt").read_text()
+    assert above > 0
+
+
+def test_fit_noise_with_fewer_points_than_asked_names_the_file(tmp_path, outdir, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(write_template(tmp_path / "base.yaml").read_text().replace(
+        "n_points: 12", "n_points: 3"))
+    common = ["--config", str(cfg), "--out", str(outdir)]
+    assert run("simulate", "power-sweep", "--kind", "noise_tele_detuned", *common) == 0
+    capsys.readouterr()
+    counts = outdir / "sweep_noise_tele_detuned.csv"
+    assert run("fit", "noise", "--detuned", str(counts), *common) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {counts} has 3 points, fewer than the 4 that --points asks the linear "
+        "fit to use\n")
+    assert run("fit", "noise", "--detuned", str(counts), "--points", "3", *common) == 0
+
+
 # ----------------------------------------------------------- validate-config
 
 def test_validate_config_ok(tmp_path):
@@ -558,6 +601,16 @@ def test_validate_config_bad_key(tmp_path, capsys):
         "eta_max_int", "eta_max_internal"))
     assert run("validate-config", "--config", str(path)) == cli.EXIT_DATA
     assert "eta_max_internal" in capsys.readouterr().err
+
+
+def test_validate_config_rejects_sweeps_too_short_to_fit(tmp_path, capsys):
+    # the efficiency fit needs three points per sweep
+    path = tmp_path / "cfg.yaml"
+    path.write_text(write_template(tmp_path / "base.yaml").read_text().replace(
+        "n_points: 12", "n_points: 2"))
+    assert run("validate-config", "--config", str(path)) == cli.EXIT_DATA
+    assert ("sweeps: n_points must be at least 3, the efficiency fit's minimum per sweep, "
+            "got 2") in capsys.readouterr().err
 
 
 def test_validate_config_write_template(tmp_path):
@@ -678,18 +731,27 @@ def test_validate_config_runs_without_numpy(tmp_path, option):
     assert out.splitlines()[-1] == f"0 False {option == '--config'}"
 
 
+LAYERS = ("cli", "config", "converter", "counting", "dataio", "errors", "fitting", "params",
+          "pipelines", "report", "spectra")
+
+
 def test_every_public_name_resolves():
-    for name in dfgnoise.__all__:
-        module = importlib.import_module(f"dfgnoise.{dfgnoise._MODULES[name]}")
-        assert getattr(dfgnoise, name) is getattr(module, name), name
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        dfgnoise.no_such_name
-    # the plain types moved to params stay reachable under their old modules
+    # each name is reached through the module that exports it, none
+    # through the package
+    exported = {}
+    for layer in LAYERS:
+        module = importlib.import_module(f"dfgnoise.{layer}")
+        for name in getattr(module, "__all__", ()):
+            exported[layer, name] = getattr(module, name)
+    assert not hasattr(dfgnoise, "__all__")
+    assert not hasattr(dfgnoise, "dfg_efficiency")
+    # of the types moved to params, only the three old import paths that
+    # the acceptance suite uses are still exported
     params = importlib.import_module("dfgnoise.params")
-    for module, name in [("converter", "ConverterParams"), ("converter", "sfg_partner_wavelength"),
-                         ("spectra", "SfgMode"), ("spectra", "FilterProfile"),
-                         ("spectra", "sfg_mode_from_telecom"),
-                         ("spectra", "check_mode_energy_conservation"),
-                         ("counting", "MeasurementChain"), ("pipelines", "NOISE_SWEEP_KINDS")]:
-        old = importlib.import_module(f"dfgnoise.{module}")
-        assert getattr(old, name) is getattr(params, name), f"{module}.{name}"
+    old_paths = [key for key, value in exported.items() if key[0] != "params"
+                 and any(value is getattr(params, name) for name in params.__all__)]
+    assert sorted(old_paths) == [("converter", "ConverterParams"),
+                                 ("converter", "sfg_partner_wavelength"),
+                                 ("counting", "MeasurementChain")]
+    spectra = importlib.import_module("dfgnoise.spectra")
+    assert not hasattr(spectra, "SfgMode") and not hasattr(spectra, "FilterProfile")

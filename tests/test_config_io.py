@@ -198,7 +198,8 @@ def _mutated(path, value):
     (("scans", "telecom", "stop_nm"), ..., "scans.telecom.stop_nm: missing required key"),
     (("scans", "telecom", "step_nm"), float("nan"),
      "scans.telecom.step_nm: expected a finite number"),
-    (("sweeps", "n_points"), 1, "sweeps: sweep n_points must be at least 2"),
+    (("sweeps", "n_points"), 2,
+     "sweeps: n_points must be at least 3, the efficiency fit's minimum per sweep, got 2"),
     (("scans", "telecom", "stop_nm"), 1520.05,
      "scans.telecom: scan from 1520.0 to 1520.05 nm in 0.1 nm steps has a single point; "
      "it needs at least two"),

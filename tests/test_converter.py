@@ -181,6 +181,13 @@ def test_lowpower_monotone_overestimate(params_vis):
     assert np.all(np.diff(ratio) > 0)
 
 
+def test_quadratic_overestimates_far_outside_validity(params_vis):
+    ratio = converter.visible_noise_rate_lowpower(params_vis, 0.44) / converter.visible_noise_rate(
+        params_vis, 0.44
+    )
+    assert ratio > 1.25
+
+
 def test_noise_identity_random_points():
     rng = np.random.default_rng(7)
     for _ in range(100):
