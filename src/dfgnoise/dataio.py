@@ -30,12 +30,11 @@ __all__ = [
     "read_sweep_csv",
     "write_counts_csv",
     "read_counts_csv",
-    "write_fit_json",
+    "write_fit",
     "read_fit_json",
     "apply_efficiency_fit",
     "efficiency_fit_covariance",
     "fitted_values",
-    "write_residual_csv",
     "sha256_digest",
     "sidecar_path",
     "sidecar_number",
@@ -251,14 +250,16 @@ def read_sweep_csv(path: str | Path, kind: str) -> PowerSweep:
     sidecar, when there is one, must not name another kind.
 
     Once every cell converts, the first row with a pump power that is not
-    a non-negative finite number, a value that is not finite or a sigma
-    that is not a positive finite number is an error.
+    a non-negative finite number or not above the row before's, a value
+    that is not finite or a sigma that is not a positive finite number is
+    an error.
     """
     path = Path(path)
     p, y, s = _read_columns(path, (("pump_w", float), ("value", float), ("sigma", float)))
     pump_w, value, sigma = np.array(p), np.array(y), np.array(s)
     _check_ranges(path, (
         ("pump_w", p, (pump_w >= 0) & (pump_w < np.inf), "finite and non-negative"),
+        ("pump_w", p, pump_w > np.r_[-np.inf, pump_w[:-1]], "strictly increasing"),
         ("value", y, np.isfinite(value), "finite"),
         ("sigma", s, (sigma > 0) & (sigma < np.inf), "finite and positive"),
     ))
@@ -285,8 +286,8 @@ def read_counts_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Read counting data; returns (pump_w, counts, duration_s, seeds, metadata).
 
     Once every cell converts, the first row with a pump power that is not
-    a non-negative finite number, a negative count or a duration that is
-    not a positive finite number is an error.
+    a non-negative finite number or not above the row before's, a negative
+    count or a duration that is not a positive finite number is an error.
     """
     path = Path(path)
     p, c, d, seeds = _read_columns(
@@ -294,6 +295,7 @@ def read_counts_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
     pump_w, counts, durations = np.array(p), np.array(c), np.array(d)
     _check_ranges(path, (
         ("pump_w", p, (pump_w >= 0) & (pump_w < np.inf), "finite and non-negative"),
+        ("pump_w", p, pump_w > np.r_[-np.inf, pump_w[:-1]], "strictly increasing"),
         ("counts", c, counts >= 0, "non-negative"),
         ("duration_s", d, (durations > 0) & (durations < np.inf), "positive and finite"),
     ))
@@ -302,17 +304,20 @@ def read_counts_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 # ---------------------------------------------------------------- fits
 
-def write_fit_json(
-    result: FitResult,
-    path: str | Path,
-    fit_name: str,
-    input_digests: dict[str, str] | None = None,
-    extras: dict | None = None,
-) -> Path:
-    """Serialize a fit result; deterministic (sorted keys, no timestamps)."""
+def write_fit(result: FitResult, path: str | Path, fit_name: str, inputs, residuals,
+              extras: dict) -> Path:
+    """Write what a fit puts out: at ``path``, the result as JSON with the
+    sha256 of each file of ``inputs`` and the keys of ``extras``; beside
+    it, one ``residuals_<tag>.csv`` per (tag, sweep, model at the fitted
+    parameters) of ``residuals``.  Deterministic: sorted keys, no
+    timestamps."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
+    for tag, sweep, model in residuals:
+        _write_table(path.parent / f"residuals_{tag}.csv", "pump_w,value,model,residual,sigma",
+                     (_floats(sweep.pump_w), _floats(sweep.value), _floats(model),
+                      _floats(sweep.value - model), _floats(sweep.sigma)))
+    _write_json(path, {
         "fit": fit_name,
         "parameter_order": result.names,
         "parameters": result.values,
@@ -323,11 +328,9 @@ def write_fit_json(
         "n_points": result.n_points,
         "converged": result.converged,
         "message": result.message,
-        "inputs": input_digests or {},
-    }
-    if extras:
-        payload.update(extras)
-    _write_json(path, payload)
+        "inputs": {str(p): sha256_digest(p) for p in inputs},
+        **extras,
+    })
     return path
 
 
@@ -341,7 +344,7 @@ _EFFICIENCY_PARAMETERS = ["eta_max_int", "eta_max_ext", "eta_n"]
 
 def apply_efficiency_fit(params: ConverterParams, fit: dict) -> ConverterParams:
     """``params`` with the efficiencies and conversion parameter of a parsed
-    efficiency-fit payload (see :func:`write_fit_json`) swapped in.
+    efficiency-fit payload (see :func:`write_fit`) swapped in.
 
     The fit does not bound eta_max_ext by eta_max_int, so a device with
     lossless coupling may fit with eta_max_ext just above eta_max_int.
@@ -372,7 +375,7 @@ def efficiency_fit_covariance(fit: dict) -> np.ndarray:
 
 def fitted_values(fit: dict, label: str, keys) -> tuple[dict[str, float], dict[str, float | None]]:
     """The fitted values of those ``keys`` that a parsed fit payload (see
-    :func:`write_fit_json`, labelled ``label`` in messages) holds under
+    :func:`write_fit`, labelled ``label`` in messages) holds under
     ``parameters``, and their uncertainties; an absent or null sigma (a
     non-finite one is written as null) maps to None."""
     fitted = _object(label, fit, "parameters")
@@ -383,10 +386,3 @@ def fitted_values(fit: dict, label: str, keys) -> tuple[dict[str, float], dict[s
         key: None if sigmas.get(key) is None else _number(label, f"sigmas.{key}", sigmas[key])
         for key in values}
 
-
-def write_residual_csv(path: str | Path, pump_w, value, model, sigma) -> Path:
-    """Residual table accompanying a fit."""
-    value, model = np.asarray(value, dtype=float), np.asarray(model, dtype=float)
-    return _write_table(path, "pump_w,value,model,residual,sigma",
-                        (_floats(pump_w), _floats(value), _floats(model),
-                         _floats(value - model), _floats(sigma)))

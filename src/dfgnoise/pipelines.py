@@ -233,30 +233,31 @@ def sweep_from_counts(path: Path, cfg: RunConfig) -> PowerSweep:
     return PowerSweep(pump_w=pump_w, value=rate, sigma=sigma, kind=kind)
 
 
+def _checked(path, sweep: PowerSweep, kind: str, need: int, why: str) -> PowerSweep:
+    """``sweep``, read from ``path``, once it is of ``kind`` and has ``need`` points."""
+    if sweep.kind != kind:
+        raise DataFormatError(f"{path}: expected a {kind} sweep, got {sweep.kind!r}")
+    n = len(sweep)
+    if n < need:
+        raise InsufficientDataError(
+            f"{path} has {n} point{'s' * (n != 1)}, fewer than the {need} that {why}")
+    return sweep
+
+
 def run_fit_efficiency(
     cfg: RunConfig, internal_path: Path, external_path: Path, out_dir: Path
 ) -> tuple[FitResult, Path]:
     """Shared-parameter efficiency fit from two sweep files."""
-    sweep_int = dataio.read_sweep_csv(internal_path, kind="efficiency_int")
-    sweep_ext = dataio.read_sweep_csv(external_path, kind="efficiency_ext")
-    result = fit_efficiency_shared(sweep_int, sweep_ext, cfg.converter.length_cm)
-    digests = {
-        str(internal_path): dataio.sha256_digest(internal_path),
-        str(external_path): dataio.sha256_digest(external_path),
-    }
-    out = dataio.write_fit_json(
-        result, out_dir / "fit_efficiency.json", "efficiency_shared",
-        input_digests=digests, extras={"length_cm": cfg.converter.length_cm},
-    )
-    for sweep, tag in ((sweep_int, "int"), (sweep_ext, "ext")):
-        model = converter.efficiency_curve(
-            sweep.pump_w, result.values[f"eta_max_{tag}"],
-            result.values["eta_n"], cfg.converter.length_cm,
-        )
-        dataio.write_residual_csv(
-            out_dir / f"residuals_efficiency_{tag}.csv",
-            sweep.pump_w, sweep.value, model, sweep.sigma,
-        )
+    sweep_int, sweep_ext = (
+        _checked(path, dataio.read_sweep_csv(path, kind=kind), kind, 3, "the efficiency fit needs")
+        for path, kind in ((internal_path, "efficiency_int"), (external_path, "efficiency_ext")))
+    length = cfg.converter.length_cm
+    result = fit_efficiency_shared(sweep_int, sweep_ext, length)
+    residuals = [(f"efficiency_{tag}", sweep, converter.efficiency_curve(
+        sweep.pump_w, result.values[f"eta_max_{tag}"], result.values["eta_n"], length))
+        for tag, sweep in (("int", sweep_int), ("ext", sweep_ext))]
+    out = dataio.write_fit(result, out_dir / "fit_efficiency.json", "efficiency_shared",
+                           [internal_path, external_path], residuals, {"length_cm": length})
     return result, out
 
 
@@ -280,61 +281,41 @@ def run_fit_noise(
         shape_covariance = dataio.efficiency_fit_covariance(efficiency_fit)
     length = params.length_cm
 
-    # one row per input: name suffix, message label, residual file tag,
-    # path, required sweep kind, fit, model at the fitted coefficient.
-    # On-peak telecom data carries SFG suppression, so the linear fit
-    # refuses it rather than silently underestimate the coefficient.
-    blocks = (
-        ("tele", "telecom", "detuned", detuned_path, "noise_tele_detuned",
-         lambda sweep: fit_alpha_linear(sweep, length, n_points=n_points),
-         lambda sweep, a: a * sweep.pump_w * length),
-        ("vis", "visible", "visible", visible_path, "noise_vis",
-         lambda sweep: fit_alpha_visible(sweep, params, shape_covariance=shape_covariance),
-         lambda sweep, a: a * (sweep.pump_w * length
-                               * np.asarray(converter.dip_depth(params, sweep.pump_w)))),
-    )
-    names, values, sigmas, variances = [], {}, {}, []
-    digests = {}
+    # one (name suffix, message label, fit, residual table) per given input
+    steps = []
     extras: dict = {"length_cm": length}
-    messages = []
-    converged, iterations, points = True, 0, 0
-    for suffix, label, tag, path, expected, fit_sweep, model in blocks:
-        if path is None:
-            continue
-        sweep = sweep_from_counts(Path(path), cfg)
-        if sweep.kind != expected:
-            raise DataFormatError(f"{path}: expected a {expected} sweep, got {sweep.kind!r}")
-        if suffix == "tele" and len(sweep) < n_points:
-            raise InsufficientDataError(f"{path} has {len(sweep)} points, fewer than the "
-                                        f"{n_points} that --points asks the linear fit to use")
-        fit = fit_sweep(sweep)
-        name = f"alpha_n_{suffix}"
-        names.append(name)
-        values[name] = fit.values["alpha_n"]
-        sigmas[name] = fit.sigmas["alpha_n"]
-        variances.append(fit.covariance[0, 0])
-        digests[str(path)] = dataio.sha256_digest(path)
-        extras[f"chi2_reduced_{suffix}"] = fit.chi2_reduced
-        converged &= fit.converged
-        messages.append(f"{label}: {fit.message}")
-        iterations += fit.n_iterations
-        points += len(sweep)
-        dataio.write_residual_csv(out_dir / f"residuals_noise_{tag}.csv", sweep.pump_w,
-                                  sweep.value, model(sweep, values[name]), sweep.sigma)
     if detuned_path is not None:
+        # on-peak telecom data carries SFG suppression: the linear fit
+        # refuses it rather than silently underestimate the coefficient
+        sweep = _checked(detuned_path, sweep_from_counts(Path(detuned_path), cfg),
+                         "noise_tele_detuned", n_points, "--points asks the linear fit to use")
+        fit = fit_alpha_linear(sweep, length, n_points=n_points)
+        model = fit.values["alpha_n"] * sweep.pump_w * length
+        steps.append(("tele", "telecom", fit, ("noise_detuned", sweep, model)))
         extras["n_points_tele"] = n_points
+    if visible_path is not None:
+        sweep = _checked(visible_path, sweep_from_counts(Path(visible_path), cfg), "noise_vis",
+                         2, "the visible fit needs")
+        fit = fit_alpha_visible(sweep, params, shape_covariance=shape_covariance)
+        depth = np.asarray(converter.dip_depth(params, sweep.pump_w))
+        model = fit.values["alpha_n"] * (sweep.pump_w * length * depth)
+        steps.append(("vis", "visible", fit, ("noise_visible", sweep, model)))
 
+    suffixes, labels, fits, tables = zip(*steps)
+    names = [f"alpha_n_{suffix}" for suffix in suffixes]
+    extras.update({f"chi2_reduced_{s}": fit.chi2_reduced for s, fit in zip(suffixes, fits)})
     result = FitResult(
         names=names,
-        values=values,
-        sigmas=sigmas,
-        covariance=np.diag(variances),
+        values={name: fit.values["alpha_n"] for name, fit in zip(names, fits)},
+        sigmas={name: fit.sigmas["alpha_n"] for name, fit in zip(names, fits)},
+        covariance=np.diag([fit.covariance[0, 0] for fit in fits]),
         chi2_reduced=float("nan"),
-        n_iterations=iterations,
-        converged=converged,
-        message="; ".join(messages),
-        n_points=points,
+        n_iterations=sum(fit.n_iterations for fit in fits),
+        converged=all(fit.converged for fit in fits),
+        message="; ".join(f"{label}: {fit.message}" for label, fit in zip(labels, fits)),
+        n_points=sum(len(sweep) for _, sweep, _ in tables),
     )
-    out = dataio.write_fit_json(result, out_dir / "fit_noise.json", "noise_coefficients",
-                                input_digests=digests, extras=extras)
+    out = dataio.write_fit(result, out_dir / "fit_noise.json", "noise_coefficients",
+                           [p for p in (detuned_path, visible_path) if p is not None],
+                           tables, extras)
     return result, out

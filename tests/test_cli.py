@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import dfgnoise
-from dfgnoise import cli, dataio
-from dfgnoise.config import write_template
+from dfgnoise import cli, converter, dataio
+from dfgnoise.config import default_config, write_template
 from dfgnoise.errors import DataFormatError
 
 
@@ -154,13 +154,15 @@ def test_fit_efficiency_from_simulated_data(outdir):
     )
 
 
-def test_fit_efficiency_insufficient_data(outdir, tmp_path):
+def test_fit_efficiency_insufficient_data(outdir, tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("pump_w,value,sigma\n0.1,0.2,0.01\n0.2,0.5,0.01\n")
     assert run("simulate", "efficiency", "--out", str(outdir)) == 0
     code = run("fit", "efficiency", "--internal", str(short),
                "--external", str(outdir / "efficiency_ext.csv"), "--out", str(outdir))
     assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {short} has 2 points, fewer than the 3 that the efficiency fit needs\n")
 
 
 def test_fit_efficiency_missing_flags(outdir):
@@ -182,6 +184,37 @@ def test_fit_noise_pipeline(outdir):
     assert alpha_vis == pytest.approx(391e3, rel=0.05)
     assert (outdir / "residuals_noise_detuned.csv").exists()
     assert (outdir / "residuals_noise_visible.csv").exists()
+
+
+@pytest.mark.parametrize("option, kind, suffix, tag", [
+    ("--detuned", "noise_tele_detuned", "tele", "detuned"),
+    ("--visible", "noise_vis", "vis", "visible"),
+])
+def test_fit_noise_with_one_input(outdir, option, kind, suffix, tag):
+    assert run("simulate", "power-sweep", "--kind", kind, "--out", str(outdir)) == 0
+    fit_dir = outdir / "fit"
+    assert run("fit", "noise", option, str(outdir / f"sweep_{kind}.csv"),
+               "--out", str(fit_dir)) == 0
+    payload = dataio.read_fit_json(fit_dir / "fit_noise.json")
+    pump = dataio.read_counts_csv(outdir / f"sweep_{kind}.csv")[0]
+    assert payload["parameter_order"] == [f"alpha_n_{suffix}"]
+    assert payload["n_points"] == len(pump)
+    present = {"chi2_reduced_tele", "chi2_reduced_vis", "n_points_tele"} & set(payload)
+    assert present == ({"chi2_reduced_tele", "n_points_tele"} if suffix == "tele"
+                       else {"chi2_reduced_vis"})
+    assert payload.get("n_points_tele", 4) == 4
+    assert [p.name for p in fit_dir.glob("residuals_*")] == [f"residuals_noise_{tag}.csv"]
+    # the model column is the fitted coefficient times the basis, P*L on
+    # detuned data and P*L*dip_depth at the configured shape on visible data
+    table = np.loadtxt(fit_dir / f"residuals_noise_{tag}.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 0], pump)
+    params = default_config().converter
+    alpha = payload["parameters"][f"alpha_n_{suffix}"]
+    if suffix == "tele":
+        model = alpha * pump * params.length_cm
+    else:
+        model = alpha * (pump * params.length_cm * converter.dip_depth(params, pump))
+    assert np.array_equal(table[:, 2], model)
 
 
 def test_fit_noise_requires_some_input(outdir):
@@ -586,6 +619,36 @@ def test_fit_noise_with_fewer_points_than_asked_names_the_file(tmp_path, outdir,
         f"error: {counts} has 3 points, fewer than the 4 that --points asks the linear "
         "fit to use\n")
     assert run("fit", "noise", "--detuned", str(counts), "--points", "3", *common) == 0
+
+
+def _rewrite_rows(path: Path, rows) -> Path:
+    """``path`` rewritten with its header and the data rows ``rows`` of it
+    (0 is the first data row)."""
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], *(lines[1 + i] for i in rows)]) + "\n")
+    return path
+
+
+def test_fit_input_errors_name_the_file(outdir, capsys):
+    for kind in ("noise_tele_detuned", "noise_vis"):
+        assert run("simulate", "power-sweep", "--kind", kind, "--out", str(outdir)) == 0
+    assert run("simulate", "efficiency", "--out", str(outdir)) == 0
+    capsys.readouterr()
+    detuned = _rewrite_rows(outdir / "sweep_noise_tele_detuned.csv", [0, 1, 1, 2])
+    internal = _rewrite_rows(outdir / "efficiency_int.csv", [0, 2, 1, 3])
+    visible = _rewrite_rows(outdir / "sweep_noise_vis.csv", [0])
+    cases = [
+        (["fit", "noise", "--detuned", str(detuned)],
+         f"{detuned}:4: column 'pump_w' must be strictly increasing, got 0.04"),
+        (["fit", "efficiency", "--internal", str(internal),
+          "--external", str(outdir / "efficiency_ext.csv")],
+         f"{internal}:4: column 'pump_w' must be strictly increasing, got 0.04"),
+        (["fit", "noise", "--visible", str(visible)],
+         f"{visible} has 1 point, fewer than the 2 that the visible fit needs"),
+    ]
+    for argv, message in cases:
+        assert run(*argv, "--out", str(outdir / "fit")) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ----------------------------------------------------------- validate-config

@@ -349,15 +349,22 @@ def test_fit_json_round_trip(tmp_path):
         message="relative cost change below ftol",
         n_points=15,
     )
-    path = dataio.write_fit_json(result, tmp_path / "fit.json", "demo",
-                                 input_digests={"x.csv": "abc123"})
+    data = tmp_path / "x.csv"
+    data.write_text("abc\n")
+    sweep = PowerSweep([0.1, 0.2], [1.0, 2.5], [0.5, 0.5], "efficiency_int")
+    path = dataio.write_fit(result, tmp_path / "out" / "fit.json", "demo", [str(data)],
+                            [("demo_a", sweep, [1.5, 2.0])], {"length_cm": 4.0})
     payload = dataio.read_fit_json(path)
     assert payload["fit"] == "demo"
     assert payload["parameters"] == result.values
     assert payload["sigmas"] == result.sigmas
     assert payload["covariance"] == [[1e-4, 0.0], [0.0, 4e-4]]
     assert payload["converged"] is True
-    assert payload["inputs"] == {"x.csv": "abc123"}
+    assert payload["inputs"] == {
+        str(data): "edeaaff3f1774ad2888673770c6d64097e391bc362d7d6fb34982ddf0efd18cb"}
+    assert payload["length_cm"] == 4.0
+    assert (tmp_path / "out" / "residuals_demo_a.csv").read_text() == (
+        "pump_w,value,model,residual,sigma\n0.1,1.0,1.5,-0.5,0.5\n0.2,2.5,2.0,0.5,0.5\n")
 
 
 # ---------------------------------------------------------- malformed files

@@ -73,13 +73,19 @@ def _reference_columns(path: Path, kind: str) -> list[list]:
         for column, value in zip(columns, values):
             column.append(value)
     # once every cell converts: each row's cells in column order, by the
-    # rule of their column
+    # rule of their column; a pump power must also be above the one in the
+    # row before, checked right after its own rule
     rules = RANGE_RULES.get(kind, {})
+    previous_pump = -math.inf
     for line_no, row in enumerate(zip(*columns), start=2):
         for name, cell in zip(header, row):
             if name in rules and not rules[name][0](cell):
                 raise DataFormatError(f"{path}:{line_no}: column '{name}' must be "
                                       f"{rules[name][1]}, got {cell!r}")
+            if name == "pump_w" and not cell > previous_pump:
+                raise DataFormatError(f"{path}:{line_no}: column 'pump_w' must be "
+                                      f"strictly increasing, got {cell!r}")
+        previous_pump = row[0]
     return columns
 
 
@@ -205,6 +211,10 @@ def test_mutated_csv_reads_like_row_reference(files, kind, data):
     ("counts", "0.1,5.5,10.0,1\n0.2"),
     ("counts", "0.1,5,10.0,1\n0.2,6,10.0\n0.3,x,10.0,3"),
     ("sweep", "0.1,x,y\n0.2"),
+    ("counts", "0.1,5,10.0,1\n0.1,6,10.0,2"),     # a repeated pump power
+    ("counts", "0.2,5,10.0,1\n0.1,6,-1.0,2"),    # a falling one, before a bad duration
+    ("sweep", "0.2,1,1\n-0.1,1,1"),               # a negative one, before the order rule
+    ("sweep", "0.2,1,1\n0.1,1,1"),
     ("scan", "1540.0,1\n\n1541.0,2"),
     ("scan", '"1540.0"," 1 "\n1541.0,2.5e3'),
 ])
