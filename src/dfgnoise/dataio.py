@@ -4,6 +4,12 @@ Floats are written with ``repr`` so every emitted file re-parses to
 bit-identical values, and nothing carries a timestamp: re-running a
 command with the same config and seed reproduces the files byte for
 byte.  Units are part of the header names (nm, W, Hz, s).
+
+Every table's first column is a grid (``pump_w`` or ``wavelength_nm``)
+that the other files of a run share, so its cells are kept, per process,
+for the last few distinct grids and formatted once; the key is the
+grid's float64 bytes, so 0.0 and -0.0 are different grids.  The other
+columns are data and are formatted on every write.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import threading
 from dataclasses import replace
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -41,18 +49,43 @@ __all__ = [
 ]
 
 
-def _floats(column) -> list[float]:
-    """A float column as Python floats, whose ``repr`` re-parses bit for bit."""
-    return np.asarray(column, dtype=float).tolist()
+def _cells(column, dtype=float) -> list[str]:
+    """A column as CSV cells: the ``repr`` of each value as a Python number
+    of ``dtype``, which re-parses bit for bit."""
+    return list(map(repr, np.asarray(column, dtype=dtype).tolist()))
 
 
-def _write_table(path: str | Path, header: str, columns, sidecar: dict | None = None) -> Path:
-    """Write a CSV of a header line and one row per position of the
-    (equally long) ``columns`` of Python numbers, each written with
-    ``repr``, plus the JSON ``sidecar`` when one is given."""
+# the cells of the last few grids written, by their float64 bytes, least
+# recently written first; the lock lets writers in several threads share it
+_GRID_CELLS: dict[bytes, tuple[str, ...]] = {}
+_GRID_CELLS_KEPT = 4
+_GRID_CELLS_LOCK = threading.Lock()
+
+
+def _grid_cells(grid) -> tuple[str, ...]:
+    """The cells of a float ``grid`` column, formatted once per process
+    while it is among the last ``_GRID_CELLS_KEPT`` distinct grids."""
+    grid = np.asarray(grid, dtype=float)
+    key = grid.tobytes()
+    with _GRID_CELLS_LOCK:
+        cells = _GRID_CELLS.pop(key, None)
+    if cells is None:
+        cells = tuple(map(repr, grid.tolist()))
+    with _GRID_CELLS_LOCK:
+        _GRID_CELLS[key] = cells
+        while len(_GRID_CELLS) > _GRID_CELLS_KEPT:
+            del _GRID_CELLS[next(iter(_GRID_CELLS))]
+    return cells
+
+
+def _write_table(path: str | Path, header: str, grid, columns, sidecar: dict | None = None) -> Path:
+    """Write a CSV of a header line and one row per point of the float
+    ``grid``: its cell, then the cell at the same position of each of
+    ``columns`` (lists of cells); plus the JSON ``sidecar`` when one is
+    given."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = (",".join(map(repr, row)) for row in zip(*columns))
+    rows = map(",".join, zip(_grid_cells(grid), *columns))
     path.write_text("\n".join([header, *rows]) + "\n")
     if sidecar is not None:
         _write_json(sidecar_path(path), sidecar)
@@ -162,20 +195,49 @@ def _check_row(row: list[str], columns, path: Path, line_no: int) -> None:
             raise DataFormatError(f"{path}:{line_no}: {names} must be integers") from None
 
 
+def _split_columns(text: str, columns) -> list[list] | None:
+    """The columns of the CSV ``text`` as :func:`_read_columns` returns
+    them, split with ``str.split``; None when ``csv.reader`` might split
+    the text otherwise or it holds an error to name: a wrong header, no
+    data line, a line without one comma fewer than ``columns`` (a blank
+    one too), a line over csv's field size limit or a cell that does not
+    convert.  A quote needs no check: a cell that holds one never
+    converts."""
+    lines = text.splitlines()
+    k = len(columns)
+    if (len(lines) < 2 or lines[0] != ",".join(name for name, _ in columns)
+            or set(map(str.count, lines, repeat(","))) != {k - 1}
+            or max(map(len, lines)) >= csv.field_size_limit()):
+        return None
+    cells = ",".join(lines[1:]).split(",")
+    try:
+        return [list(map(kind, cells[j::k])) for j, (_, kind) in enumerate(columns)]
+    except ValueError:
+        return None
+
+
 def _read_columns(path: Path, columns) -> list[list]:
     """The columns of a CSV with the header and types of ``columns``, a
     sequence of (name, ``float`` or ``int``), each converted whole to a
     list of Python numbers.
 
-    The text is split by ``csv.reader`` once, so quoted cells parse.  When
-    a row has the wrong length or a cell does not convert, the rows are
-    walked again in order, so the error names the first bad line and cell.
+    A plain file is split by :func:`_split_columns`.  Any other is split
+    by ``csv.reader`` once, so quoted cells parse.  When a row has the
+    wrong length or a cell does not convert, the rows are walked again in
+    order, so the error names the first bad line and cell.
     """
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
+    split = _split_columns(text, columns)
+    if split is not None:
+        return split
+    reader = csv.reader(text.splitlines())
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # such as a field over csv's size limit
+        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
     header = [name for name, _ in columns]
     if not rows:
         raise DataFormatError(f"{path}:1: file is empty")
@@ -215,7 +277,7 @@ def _check_ranges(path: Path, checks) -> None:
 def write_scan_csv(scan: SpectralScan, path: str | Path, metadata: dict | None = None) -> Path:
     """Write a spectral scan as CSV plus a JSON metadata sidecar."""
     return _write_table(
-        path, "wavelength_nm,rate_hz", (_floats(scan.wavelength_nm), _floats(scan.rate_hz)),
+        path, "wavelength_nm,rate_hz", scan.wavelength_nm, [_cells(scan.rate_hz)],
         {"filter_fwhm_nm": scan.filter_fwhm_nm, "step_nm": scan.step_nm,
          "integration_time_s": scan.integration_time_s, **(metadata or {})})
 
@@ -224,9 +286,13 @@ def read_scan_csv(path: str | Path) -> tuple[SpectralScan, dict]:
     """Read a scan CSV and its sidecar (empty dict when absent)."""
     path = Path(path)
     wl, rate = _read_columns(path, (("wavelength_nm", float), ("rate_hz", float)))
+    wavelength_nm = np.array(wl)
+    _check_ranges(path, (("wavelength_nm", wl,
+                          wavelength_nm > np.r_[-np.inf, wavelength_nm[:-1]],
+                          "strictly increasing"),))
     meta = _read_sidecar(path)
     scan = SpectralScan(
-        wavelength_nm=np.array(wl),
+        wavelength_nm=wavelength_nm,
         rate_hz=np.array(rate),
         filter_fwhm_nm=sidecar_number(path, meta, "filter_fwhm_nm", 0.0),
         step_nm=sidecar_number(path, meta, "step_nm", 0.0),
@@ -240,8 +306,7 @@ def read_scan_csv(path: str | Path) -> tuple[SpectralScan, dict]:
 def write_sweep_csv(sweep: PowerSweep, path: str | Path, metadata: dict | None = None) -> Path:
     """Write a value-vs-power dataset (``pump_w,value,sigma``) plus sidecar."""
     return _write_table(
-        path, "pump_w,value,sigma",
-        (_floats(sweep.pump_w), _floats(sweep.value), _floats(sweep.sigma)),
+        path, "pump_w,value,sigma", sweep.pump_w, [_cells(sweep.value), _cells(sweep.sigma)],
         {"kind": sweep.kind, **(metadata or {})})
 
 
@@ -276,9 +341,9 @@ def write_counts_csv(
 ) -> Path:
     """Write raw counting data (``pump_w,counts,duration_s,seed``) plus sidecar."""
     return _write_table(
-        path, "pump_w,counts,duration_s,seed",
-        (_floats(pump_w), sweep.counts.tolist(), [float(sweep.duration_s)] * len(sweep),
-         sweep.seeds.tolist()),
+        path, "pump_w,counts,duration_s,seed", pump_w,
+        [_cells(sweep.counts, int), [repr(float(sweep.duration_s))] * len(sweep),
+         _cells(sweep.seeds, int)],
         metadata or {})
 
 
@@ -315,8 +380,8 @@ def write_fit(result: FitResult, path: str | Path, fit_name: str, inputs, residu
     path.parent.mkdir(parents=True, exist_ok=True)
     for tag, sweep, model in residuals:
         _write_table(path.parent / f"residuals_{tag}.csv", "pump_w,value,model,residual,sigma",
-                     (_floats(sweep.pump_w), _floats(sweep.value), _floats(model),
-                      _floats(sweep.value - model), _floats(sweep.sigma)))
+                     sweep.pump_w, [_cells(sweep.value), _cells(model),
+                                    _cells(sweep.value - model), _cells(sweep.sigma)])
     _write_json(path, {
         "fit": fit_name,
         "parameter_order": result.names,

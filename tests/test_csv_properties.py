@@ -48,7 +48,11 @@ def _parse_float(cell, path, line_no, column):
 
 def _reference_columns(path: Path, kind: str) -> list[list]:
     """The readers' rules applied row by row, cell by cell."""
-    rows = list(csv.reader(path.read_text().splitlines()))
+    reader = csv.reader(path.read_text().splitlines())
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
     header = HEADERS[kind]
     if not rows:
         raise DataFormatError(f"{path}:1: file is empty")
@@ -73,19 +77,19 @@ def _reference_columns(path: Path, kind: str) -> list[list]:
         for column, value in zip(columns, values):
             column.append(value)
     # once every cell converts: each row's cells in column order, by the
-    # rule of their column; a pump power must also be above the one in the
-    # row before, checked right after its own rule
+    # rule of their column; a pump power or a wavelength must also be above
+    # the one in the row before, checked right after its own rule
     rules = RANGE_RULES.get(kind, {})
-    previous_pump = -math.inf
+    previous = -math.inf
     for line_no, row in enumerate(zip(*columns), start=2):
         for name, cell in zip(header, row):
             if name in rules and not rules[name][0](cell):
                 raise DataFormatError(f"{path}:{line_no}: column '{name}' must be "
                                       f"{rules[name][1]}, got {cell!r}")
-            if name == "pump_w" and not cell > previous_pump:
-                raise DataFormatError(f"{path}:{line_no}: column 'pump_w' must be "
+            if name == header[0] and not cell > previous:
+                raise DataFormatError(f"{path}:{line_no}: column '{name}' must be "
                                       f"strictly increasing, got {cell!r}")
-        previous_pump = row[0]
+        previous = row[0]
     return columns
 
 
@@ -217,6 +221,9 @@ def test_mutated_csv_reads_like_row_reference(files, kind, data):
     ("sweep", "0.2,1,1\n0.1,1,1"),
     ("scan", "1540.0,1\n\n1541.0,2"),
     ("scan", '"1540.0"," 1 "\n1541.0,2.5e3'),
+    ("scan", "1540.0,1\n1541.0,2\n1541.0,2\n1542.0,3"),     # a repeated wavelength
+    ("scan", "1541.0,1\n1540.0,-2"),             # a falling one, before a negative rate
+    ("scan", "nan,1\n1541.0,2"),
 ])
 def test_csv_reads_like_row_reference(tmp_path, files, kind, body):
     path = tmp_path / files[kind].name
@@ -225,6 +232,20 @@ def test_csv_reads_like_row_reference(tmp_path, files, kind, body):
     if meta.exists():
         dataio.sidecar_path(path).write_text(meta.read_text())
     assert _outcome(lambda: READERS[kind](path)) == _outcome(lambda: _from_reference(path, kind))
+
+
+@pytest.mark.parametrize("kind", ["scan", "sweep", "counts"])
+@pytest.mark.parametrize("cell", [
+    "1" * 140_000,                      # would convert, to inf, if split without csv
+    '"' + "1," * 70_000 + '"',
+], ids=["digits", "quoted"])
+def test_a_field_over_the_csv_limit_is_a_data_error(tmp_path, files, kind, cell):
+    path = tmp_path / files[kind].name
+    row = ",".join(["1"] * len(HEADERS[kind]))
+    path.write_text("\n".join([",".join(HEADERS[kind]), row, cell + row[1:]]) + "\n")
+    outcome = _outcome(lambda: READERS[kind](path))
+    assert outcome == ("DataFormatError", f"{path}:3: field larger than field limit (131072)")
+    assert outcome == _outcome(lambda: _from_reference(path, kind))
 
 
 @settings(max_examples=100, deadline=None,
