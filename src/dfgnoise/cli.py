@@ -5,12 +5,17 @@ Commands: ``simulate efficiency|telecom-spectrum|visible-spectrum|power-sweep``,
 only the options it reads, after its name.
 Exit codes: 0 success, 2 usage error, 3 bad configuration or data,
 4 fit non-convergence.
+
+:func:`run` is the program entry (``dfgnoise`` and ``python -m
+dfgnoise.cli``); :func:`main` runs one command in the calling process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -25,6 +30,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NO_CONVERGENCE = 4
+
+# the variables OpenBLAS reads for its thread count, first one wins
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _seed(text: str) -> int:
@@ -228,5 +236,35 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
+def run() -> None:
+    """Run the command of ``sys.argv`` as a program, then end the process.
+
+    numpy's OpenBLAS gets one thread, unless one of ``BLAS_THREAD_VARS``
+    is set: the fits solve at most 3x3 systems, and a thread per core
+    costs more to start than it saves.  The process ends with
+    ``os._exit``, skipping the interpreter's teardown of numpy and every
+    module; every file is closed by then, as ``Path.write_text`` does,
+    and stdout and stderr are flushed here.  A failed flush, such as
+    stdout on a full disk, is one ``error:`` line and exit 3.
+    """
+    if not any(name in os.environ for name in BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's usage error or --help
+        code = exc.code or EXIT_OK
+    except OSError:  # stderr failed, so main could not write its error line
+        code = EXIT_DATA
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError as exc:
+            code = EXIT_DATA
+            with contextlib.suppress(OSError):  # stderr itself may have failed
+                print(f"error: {exc}", file=sys.stderr, flush=True)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

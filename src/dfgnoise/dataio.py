@@ -283,17 +283,31 @@ def write_scan_csv(scan: SpectralScan, path: str | Path, metadata: dict | None =
 
 
 def read_scan_csv(path: str | Path) -> tuple[SpectralScan, dict]:
-    """Read a scan CSV and its sidecar (empty dict when absent)."""
+    """Read a scan CSV and its sidecar (empty dict when absent).
+
+    Once every cell converts, the first row with a wavelength that is not
+    finite, not above the row before's or not one first step (to 1e-9 of
+    it) above it, or a rate that is not a non-negative finite number, is
+    an error.
+    """
     path = Path(path)
     wl, rate = _read_columns(path, (("wavelength_nm", float), ("rate_hz", float)))
-    wavelength_nm = np.array(wl)
-    _check_ranges(path, (("wavelength_nm", wl,
-                          wavelength_nm > np.r_[-np.inf, wavelength_nm[:-1]],
-                          "strictly increasing"),))
+    wavelength_nm, rate_hz = np.array(wl), np.array(rate)
+    with np.errstate(invalid="ignore", over="ignore"):  # a step from or to inf
+        steps = np.diff(wavelength_nm)
+        # by row, a step off the first by more than 1e-9 of it; row 0 has none
+        uneven = np.r_[False, np.abs(steps - steps[:1]) > 1e-9 * steps[:1]][:len(wl)]
+    _check_ranges(path, (
+        ("wavelength_nm", wl, np.isfinite(wavelength_nm), "finite"),
+        ("wavelength_nm", wl, wavelength_nm > np.r_[-np.inf, wavelength_nm[:-1]],
+         "strictly increasing"),
+        ("wavelength_nm", wl, ~uneven, "evenly spaced"),
+        ("rate_hz", rate, (rate_hz >= 0) & (rate_hz < np.inf), "finite and non-negative"),
+    ))
     meta = _read_sidecar(path)
     scan = SpectralScan(
         wavelength_nm=wavelength_nm,
-        rate_hz=np.array(rate),
+        rate_hz=rate_hz,
         filter_fwhm_nm=sidecar_number(path, meta, "filter_fwhm_nm", 0.0),
         step_nm=sidecar_number(path, meta, "step_nm", 0.0),
         integration_time_s=sidecar_number(path, meta, "integration_time_s", 0.0),

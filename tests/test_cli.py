@@ -4,6 +4,7 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -763,12 +764,15 @@ def test_option_before_subcommand_is_usage_error(outdir):
     assert "option --out is misplaced: options follow 'fit <what>'" in err
 
 
-def _fresh_process(code: str, *args: str) -> str:
+SRC = str(Path(dfgnoise.__file__).resolve().parents[1])
+
+
+def _fresh_process(code: str, *args: str, env: dict | None = None) -> str:
     """Standard output of ``code`` run by a new interpreter that imports the
     package from this checkout; ``args`` follow in ``sys.argv[2:]``."""
-    src = str(Path(dfgnoise.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
-                           + code, src, *args], capture_output=True, text=True, timeout=120)
+                           + code, SRC, *args], capture_output=True, text=True, timeout=120,
+                          env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -782,6 +786,44 @@ def test_cli_import_does_not_load_scipy():
 
 def test_import_dfgnoise_does_not_load_numpy():
     assert _fresh_process("import dfgnoise; print('numpy' in sys.modules)") == "False"
+
+
+def test_importing_the_cli_leaves_the_environment_alone():
+    probe = "import os; before = dict(os.environ); import dfgnoise.cli; print(os.environ == before)"
+    assert _fresh_process(probe) == "True"
+
+
+@pytest.mark.parametrize("chosen, seen", [
+    ({}, "1 None None"),
+    ({"OPENBLAS_NUM_THREADS": "3"}, "3 None None"),
+    ({"GOTO_NUM_THREADS": "2"}, "None 2 None"),
+    ({"OMP_NUM_THREADS": "4"}, "None None 4"),
+])
+def test_the_program_gives_blas_one_thread_unless_the_user_chose(chosen, seen):
+    # OpenBLAS reads the variables once, as numpy loads, so the command must
+    # see them before numpy is loaded
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    probe = ("import os; from dfgnoise import cli; cli.main = lambda: print(*map("
+             "os.environ.get, cli.BLAS_THREAD_VARS), 'numpy' in sys.modules) or 0; cli.run()")
+    assert _fresh_process(probe, env={**env, **chosen}) == f"{seen} False"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("redirect, config, code, err", [
+    (">/dev/full", "run.yaml", cli.EXIT_DATA, "error: [Errno 28] No space left on device\n"),
+    ("2>/dev/full", "missing.yaml", cli.EXIT_DATA, ""),   # the error line itself fails
+    (">&-", "run.yaml", cli.EXIT_OK, ""),                  # no stdout at all
+])
+def test_failed_or_closed_standard_streams(tmp_path, redirect, config, code, err):
+    # stdout to a file is block-buffered unless PYTHONUNBUFFERED is set, so
+    # its write fails only when the program flushes it, after main returns
+    write_template(tmp_path / "run.yaml")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(["sh", "-c", f'exec "$0" -m dfgnoise.cli "$@" {redirect}',
+                           sys.executable, "validate-config", "--config", config],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (code, err)
 
 
 @pytest.mark.parametrize("option", ["--config", "--write-template"])

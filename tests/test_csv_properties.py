@@ -29,6 +29,8 @@ CELLS = ["x", "", "1e", "1.5", "-1", "nan", "inf", "--1", " 7 ", "0x10", "1_000"
 
 # what a converted cell must be, by kind and column
 RANGE_RULES = {
+    "scan": {"wavelength_nm": (math.isfinite, "finite"),
+             "rate_hz": (lambda v: 0 <= v < math.inf, "finite and non-negative")},
     "sweep": {"pump_w": (lambda v: 0 <= v < math.inf, "finite and non-negative"),
               "value": (math.isfinite, "finite"),
               "sigma": (lambda v: 0 < v < math.inf, "finite and positive")},
@@ -78,9 +80,10 @@ def _reference_columns(path: Path, kind: str) -> list[list]:
             column.append(value)
     # once every cell converts: each row's cells in column order, by the
     # rule of their column; a pump power or a wavelength must also be above
-    # the one in the row before, checked right after its own rule
-    rules = RANGE_RULES.get(kind, {})
-    previous = -math.inf
+    # the one in the row before, checked right after its own rule, and a
+    # wavelength must then be the first step above it, to 1e-9 of that step
+    rules = RANGE_RULES[kind]
+    previous, first_step = -math.inf, None
     for line_no, row in enumerate(zip(*columns), start=2):
         for name, cell in zip(header, row):
             if name in rules and not rules[name][0](cell):
@@ -89,6 +92,12 @@ def _reference_columns(path: Path, kind: str) -> list[list]:
             if name == header[0] and not cell > previous:
                 raise DataFormatError(f"{path}:{line_no}: column '{name}' must be "
                                       f"strictly increasing, got {cell!r}")
+            if name == "wavelength_nm" and line_no > 2:
+                step = cell - previous
+                first_step = step if first_step is None else first_step
+                if abs(step - first_step) > 1e-9 * first_step:
+                    raise DataFormatError(f"{path}:{line_no}: column '{name}' must be "
+                                          f"evenly spaced, got {cell!r}")
         previous = row[0]
     return columns
 
@@ -210,28 +219,51 @@ def test_mutated_csv_reads_like_row_reference(files, kind, data):
             lambda: _from_reference(path, kind))
 
 
-@pytest.mark.parametrize("kind, body", [
-    ("counts", "0.1,5,x,y"),      # a bad seed is reported before a bad duration
-    ("counts", "0.1,5.5,10.0,1\n0.2"),
-    ("counts", "0.1,5,10.0,1\n0.2,6,10.0\n0.3,x,10.0,3"),
-    ("sweep", "0.1,x,y\n0.2"),
-    ("counts", "0.1,5,10.0,1\n0.1,6,10.0,2"),     # a repeated pump power
-    ("counts", "0.2,5,10.0,1\n0.1,6,-1.0,2"),    # a falling one, before a bad duration
-    ("sweep", "0.2,1,1\n-0.1,1,1"),               # a negative one, before the order rule
-    ("sweep", "0.2,1,1\n0.1,1,1"),
-    ("scan", "1540.0,1\n\n1541.0,2"),
-    ("scan", '"1540.0"," 1 "\n1541.0,2.5e3'),
-    ("scan", "1540.0,1\n1541.0,2\n1541.0,2\n1542.0,3"),     # a repeated wavelength
-    ("scan", "1541.0,1\n1540.0,-2"),             # a falling one, before a negative rate
-    ("scan", "nan,1\n1541.0,2"),
-])
-def test_csv_reads_like_row_reference(tmp_path, files, kind, body):
+CSV_CASES = [
+    ("counts", "0.1,5,x,y", None),      # a bad seed is reported before a bad duration
+    ("counts", "0.1,5.5,10.0,1\n0.2", None),
+    ("counts", "0.1,5,10.0,1\n0.2,6,10.0\n0.3,x,10.0,3", None),
+    ("sweep", "0.1,x,y\n0.2", None),
+    ("counts", "0.1,5,10.0,1\n0.1,6,10.0,2", None),     # a repeated pump power
+    ("counts", "0.2,5,10.0,1\n0.1,6,-1.0,2", None),    # a falling one, before a bad duration
+    ("sweep", "0.2,1,1\n-0.1,1,1", None),               # a negative one, before the order rule
+    ("sweep", "0.2,1,1\n0.1,1,1", None),
+    ("scan", "1540.0,1\n\n1541.0,2", None),
+    ("scan", '"1540.0"," 1 "\n1541.0,2.5e3', None),
+    ("scan", "1540.0,1\n1541.0,2\n1541.0,2\n1542.0,3", None),     # a repeated wavelength
+    ("scan", "1541.0,1\n1540.0,-2", ":3: column 'wavelength_nm' must be strictly increasing"
+                                     ", got 1540.0"),  # a falling one, before a negative rate
+    ("scan", "nan,1\n1541.0,2", ":2: column 'wavelength_nm' must be finite, got nan"),
+    ("scan", "1540.0,1\ninf,2", ":3: column 'wavelength_nm' must be finite, got inf"),
+    ("scan", "1540.0,nan\n1541.0,2", ":2: column 'rate_hz' must be finite and non-negative, "
+                                      "got nan"),
+    ("scan", "1540.0,1\n1541.0,inf", ":3: column 'rate_hz' must be finite and non-negative, "
+                                      "got inf"),
+    ("scan", "1540.0,1\n1541.0,-2", ":3: column 'rate_hz' must be finite and non-negative, "
+                                     "got -2.0"),
+    ("scan", "1540.0,1\n1541.0,2\n1541.5,3",
+     ":4: column 'wavelength_nm' must be evenly spaced, got 1541.5"),
+    ("scan", "1540.0,1\n1541.0,2\n1541.5,-3",   # an uneven step, before a negative rate
+     ":4: column 'wavelength_nm' must be evenly spaced, got 1541.5"),
+    ("scan", "1540.0,1\n1540.5,2\n1541.0,3\n1541.5000000001,-3",   # within 1e-9 of the step
+     ":5: column 'rate_hz' must be finite and non-negative, got -3.0"),
+    ("scan", "1540.0,1", None),    # one sample: the SpectralScan's own error
+]
+
+
+# ``error``, when given, is the message after the file name
+@pytest.mark.parametrize("kind, body, error", CSV_CASES,
+                         ids=[f"{kind}-{body}" for kind, body, _ in CSV_CASES])
+def test_csv_reads_like_row_reference(tmp_path, files, kind, body, error):
     path = tmp_path / files[kind].name
     path.write_text(",".join(HEADERS[kind]) + "\n" + body + "\n")
     meta = dataio.sidecar_path(files[kind])
     if meta.exists():
         dataio.sidecar_path(path).write_text(meta.read_text())
-    assert _outcome(lambda: READERS[kind](path)) == _outcome(lambda: _from_reference(path, kind))
+    outcome = _outcome(lambda: READERS[kind](path))
+    assert outcome == _outcome(lambda: _from_reference(path, kind))
+    if error is not None:
+        assert outcome == ("DataFormatError", f"{path}{error}")
 
 
 @pytest.mark.parametrize("kind", ["scan", "sweep", "counts"])

@@ -63,24 +63,53 @@ def _digests(root: Path) -> dict[str, str]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+# after the README chain, one command for each other exit code: neither
+# input file, a missing config, and a fit to all-zero efficiency sweeps
+EXIT_CASES = [
+    (["fit", "noise", "--config", "run.yaml"], cli.EXIT_USAGE),
+    (["validate-config", "--config", "missing.yaml"], cli.EXIT_DATA),
+    (["fit", "efficiency", "--config", "run.yaml", "--internal", "zero.csv",
+      "--external", "zero.csv", "--out", "zero"], cli.EXIT_NO_CONVERGENCE),
+]
+ZERO_SWEEP = "pump_w,value,sigma\n0.1,0.0,0.01\n0.2,0.0,0.01\n0.3,0.0,0.01\n"
+
+
+def _in_process(argv: list[str], capsys) -> tuple[int, str, str]:
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 def test_readme_chain_writes_the_same_bytes_cold_and_in_process(tmp_path, monkeypatch, capsys):
     # module-level state (the YAML loader class, registered seed types)
-    # must not leak from one command into the next of the same process
+    # must not leak from one command into the next of the same process, and
+    # the program entry must end each command as main returns from it
     cold, warm = tmp_path / "cold", tmp_path / "warm"
-    cold.mkdir()
-    warm.mkdir()
+    for root in (cold, warm):
+        root.mkdir()
+        (root / "zero.csv").write_text(ZERO_SWEEP)
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")]))}
-    for argv in readme_commands():
+    # block-buffered stdout, as a pipe gives it without PYTHONUNBUFFERED
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cases = [(argv, cli.EXIT_OK) for argv in readme_commands()] + EXIT_CASES
+    cold_runs = []
+    for argv, _ in cases:
         proc = subprocess.run([sys.executable, "-m", "dfgnoise.cli", *argv], cwd=cold, env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == cli.EXIT_OK, (argv, proc.stderr)
+                              capture_output=True, text=True, timeout=120)
+        cold_runs.append((proc.returncode, proc.stdout, proc.stderr))
     monkeypatch.chdir(warm)
-    for argv in readme_commands():
-        assert cli.main(argv) == cli.EXIT_OK, (argv, capsys.readouterr().err)
+    environ = dict(os.environ)
+    warm_runs = [_in_process(argv, capsys) for argv, _ in cases]
+    assert os.environ == environ
+    for (argv, code), cold_run, warm_run in zip(cases, cold_runs, warm_runs):
+        assert cold_run[0] == code, (argv, cold_run[2])
+        assert cold_run == warm_run, argv
     written = _digests(cold)
-    assert len(written) == 22
+    assert sum(not name.startswith("zero") for name in written) == 22
     assert _digests(warm) == written
 
 
