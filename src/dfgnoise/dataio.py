@@ -286,9 +286,9 @@ def read_scan_csv(path: str | Path) -> tuple[SpectralScan, dict]:
     """Read a scan CSV and its sidecar (empty dict when absent).
 
     Once every cell converts, the first row with a wavelength that is not
-    finite, not above the row before's or not one first step (to 1e-9 of
-    it) above it, or a rate that is not a non-negative finite number, is
-    an error.
+    finite, not above the row before's or off the first step from it by
+    more than 1e-9 of that step, or a rate that is not a non-negative
+    finite number, is an error.
     """
     path = Path(path)
     wl, rate = _read_columns(path, (("wavelength_nm", float), ("rate_hz", float)))
