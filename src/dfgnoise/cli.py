@@ -35,33 +35,22 @@ EXIT_NO_CONVERGENCE = 4
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _seed(text: str) -> int:
-    """``--seed`` value: a non-negative integer, as ``seed`` in the config."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
-    return seed
+def _number(kind: type, test, reason: str):
+    """Parser of an option's ``kind`` number, which must pass ``test`` (must
+    be ``reason``); argparse names ``kind`` in the error for a non-number."""
+    def parse(text: str):
+        value = kind(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {reason}, got {value}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {value}")
-    return value
+_seed = _number(int, lambda seed: seed >= 0, "non-negative")  # as the config's seed
+_positive_int = _number(int, lambda v: v >= 1, "a positive integer")
+_positive_float = _number(float, lambda v: 0 < v < math.inf, "positive and finite")
+_non_negative_float = _number(float, lambda v: 0 <= v < math.inf, "finite and non-negative")
 
 
 def _command(commands, name: str, func, help: str, *, seed: bool = False, out: bool = True,

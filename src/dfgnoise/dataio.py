@@ -27,8 +27,8 @@ import numpy as np
 
 from .converter import ConverterParams
 from .counting import SweepCounts
-from .errors import DataFormatError
-from .fitting import FitResult, PowerSweep
+from .errors import DataFormatError, ParameterError, RowError
+from .fitting import FitResult, PowerSweep, check_rows, pump_rules
 from .spectra import SpectralScan
 
 __all__ = [
@@ -222,9 +222,9 @@ def _read_columns(path: Path, columns) -> list[list]:
     list of Python numbers.
 
     A plain file is split by :func:`_split_columns`.  Any other is split
-    by ``csv.reader`` once, so quoted cells parse.  When a row has the
-    wrong length or a cell does not convert, the rows are walked again in
-    order, so the error names the first bad line and cell.
+    by ``csv.reader`` once, so quoted cells parse, and its rows are walked
+    in order, each row's length before its cells, so the error names the
+    first bad line and cell.
     """
     try:
         text = path.read_text()
@@ -246,30 +246,24 @@ def _read_columns(path: Path, columns) -> list[list]:
             f"{path}:1: expected header {','.join(header)!r}, got {','.join(rows[0])!r}"
         )
     body = rows[1:]
-    if all(len(row) == len(header) for row in body):
-        try:
-            return [list(map(kind, map(itemgetter(j), body)))
-                    for j, (_, kind) in enumerate(columns)]
-        except ValueError:
-            pass
     for line_no, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}"
             )
         _check_row(row, columns, path, line_no)
-    raise AssertionError(f"{path}: a column failed to convert, but no row did")
+    return [list(map(kind, map(itemgetter(j), body))) for j, (_, kind) in enumerate(columns)]
 
 
-def _check_ranges(path: Path, checks) -> None:
-    """Raise the error of the first row, and within it of the first of
-    ``checks`` in order, whose cell breaks its rule; each check is (column
-    name, Python values, mask of the good cells, the rule in words)."""
-    bad = ~np.all([ok for _, _, ok, _ in checks], axis=0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        name, values, _, rule = next(check for check in checks if not check[2][i])
-        raise DataFormatError(f"{path}:{i + 2}: column '{name}' must be {rule}, got {values[i]!r}")
+def _from_rows(path: Path, make, *args):
+    """``make(*args)``, built from the rows of ``path``: a row's
+    error is named by its line there, any other error of ``make`` by file."""
+    try:
+        return make(*args)
+    except RowError as exc:
+        raise DataFormatError(f"{path}:{exc.row + 2}: {exc.rule}") from None
+    except ParameterError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------- scans
@@ -285,33 +279,17 @@ def write_scan_csv(scan: SpectralScan, path: str | Path, metadata: dict | None =
 def read_scan_csv(path: str | Path) -> tuple[SpectralScan, dict]:
     """Read a scan CSV and its sidecar (empty dict when absent).
 
-    Once every cell converts, the first row with a wavelength that is not
-    finite, not above the row before's or off the first step from it by
-    more than 1e-9 of that step, or a rate that is not a non-negative
-    finite number, is an error.
+    Once every cell converts, the rows are checked, as
+    :class:`SpectralScan` does, before the sidecar is read.
     """
     path = Path(path)
     wl, rate = _read_columns(path, (("wavelength_nm", float), ("rate_hz", float)))
-    wavelength_nm, rate_hz = np.array(wl), np.array(rate)
-    with np.errstate(invalid="ignore", over="ignore"):  # a step from or to inf
-        steps = np.diff(wavelength_nm)
-        # by row, a step off the first by more than 1e-9 of it; row 0 has none
-        uneven = np.r_[False, np.abs(steps - steps[:1]) > 1e-9 * steps[:1]][:len(wl)]
-    _check_ranges(path, (
-        ("wavelength_nm", wl, np.isfinite(wavelength_nm), "finite"),
-        ("wavelength_nm", wl, wavelength_nm > np.r_[-np.inf, wavelength_nm[:-1]],
-         "strictly increasing"),
-        ("wavelength_nm", wl, ~uneven, "evenly spaced"),
-        ("rate_hz", rate, (rate_hz >= 0) & (rate_hz < np.inf), "finite and non-negative"),
-    ))
+    scan = _from_rows(path, SpectralScan, np.array(wl), np.array(rate))
     meta = _read_sidecar(path)
-    scan = SpectralScan(
-        wavelength_nm=wavelength_nm,
-        rate_hz=rate_hz,
-        filter_fwhm_nm=sidecar_number(path, meta, "filter_fwhm_nm", 0.0),
-        step_nm=sidecar_number(path, meta, "step_nm", 0.0),
-        integration_time_s=sidecar_number(path, meta, "integration_time_s", 0.0),
-    )
+    scan.filter_fwhm_nm = sidecar_number(path, meta, "filter_fwhm_nm", 0.0)
+    # a step of 0 is the grid's own, as SpectralScan takes it
+    scan.step_nm = sidecar_number(path, meta, "step_nm", 0.0) or scan.step_nm
+    scan.integration_time_s = sidecar_number(path, meta, "integration_time_s", 0.0)
     return scan, meta
 
 
@@ -328,24 +306,16 @@ def read_sweep_csv(path: str | Path, kind: str) -> PowerSweep:
     """Read a ``pump_w,value,sigma`` dataset of the given sweep ``kind``; a
     sidecar, when there is one, must not name another kind.
 
-    Once every cell converts, the first row with a pump power that is not
-    a non-negative finite number or not above the row before's, a value
-    that is not finite or a sigma that is not a positive finite number is
-    an error.
+    Once every cell converts, the rows are checked, as :class:`PowerSweep`
+    does, before the sidecar is read.
     """
     path = Path(path)
     p, y, s = _read_columns(path, (("pump_w", float), ("value", float), ("sigma", float)))
-    pump_w, value, sigma = np.array(p), np.array(y), np.array(s)
-    _check_ranges(path, (
-        ("pump_w", p, (pump_w >= 0) & (pump_w < np.inf), "finite and non-negative"),
-        ("pump_w", p, pump_w > np.r_[-np.inf, pump_w[:-1]], "strictly increasing"),
-        ("value", y, np.isfinite(value), "finite"),
-        ("sigma", s, (sigma > 0) & (sigma < np.inf), "finite and positive"),
-    ))
+    sweep = _from_rows(path, PowerSweep, np.array(p), np.array(y), np.array(s), kind)
     recorded = _read_sidecar(path).get("kind", kind)
     if recorded != kind:
         raise DataFormatError(f"{sidecar_path(path)}: kind is {recorded!r}, expected {kind!r}")
-    return PowerSweep(pump_w=pump_w, value=value, sigma=sigma, kind=kind)
+    return sweep
 
 
 # ---------------------------------------------------------------- counts
@@ -364,20 +334,23 @@ def write_counts_csv(
 def read_counts_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], dict]:
     """Read counting data; returns (pump_w, counts, duration_s, seeds, metadata).
 
-    Once every cell converts, the first row with a pump power that is not
-    a non-negative finite number or not above the row before's, a negative
-    count or a duration that is not a positive finite number is an error.
+    Once every cell converts, each row's pump power is checked by
+    :func:`pump_rules`, then its count and duration.
     """
     path = Path(path)
     p, c, d, seeds = _read_columns(
         path, (("pump_w", float), ("counts", int), ("duration_s", float), ("seed", int)))
-    pump_w, counts, durations = np.array(p), np.array(c), np.array(d)
-    _check_ranges(path, (
-        ("pump_w", p, (pump_w >= 0) & (pump_w < np.inf), "finite and non-negative"),
-        ("pump_w", p, pump_w > np.r_[-np.inf, pump_w[:-1]], "strictly increasing"),
-        ("counts", c, counts >= 0, "non-negative"),
-        ("duration_s", d, (durations > 0) & (durations < np.inf), "positive and finite"),
-    ))
+    pump_w, durations = np.array(p), np.array(d)
+    try:
+        counts = np.array(c, dtype=np.int64)
+    except OverflowError:  # a count beyond int64, which its rule names
+        counts = np.array(c, dtype=object)
+    top = np.iinfo(np.int64).max
+    _from_rows(path, check_rows, *pump_rules(pump_w),
+               ("counts", counts, counts >= 0, "non-negative"),
+               ("counts", counts, counts <= top, f"at most {top}"),
+               ("duration_s", durations, (durations > 0) & (durations < np.inf),
+                "positive and finite"))
     return pump_w, counts, durations, seeds, _read_sidecar(path)
 
 

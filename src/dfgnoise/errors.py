@@ -13,6 +13,14 @@ class ParameterError(DfgNoiseError):
     """A physical parameter is outside its allowed domain."""
 
 
+class RowError(ParameterError):
+    """Row ``row`` of a dataset breaks ``rule``, which names the column."""
+
+    def __init__(self, row: int, rule: str):
+        super().__init__(f"row {row}: {rule}")
+        self.row, self.rule = row, rule
+
+
 class ModelViolationError(DfgNoiseError):
     """Inputs describe a physically inconsistent model (e.g. dip depths
     summing above unity somewhere on the grid)."""

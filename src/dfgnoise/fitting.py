@@ -26,10 +26,12 @@ import numpy as np
 
 from . import converter
 from .converter import ConverterParams, suppression_depth
-from .errors import FitFailureError, InsufficientDataError, ParameterError
+from .errors import FitFailureError, InsufficientDataError, ParameterError, RowError
 from .params import NOISE_SWEEP_KINDS
 
 __all__ = [
+    "check_rows",
+    "pump_rules",
     "PowerSweep",
     "FitResult",
     "NoiseCurves",
@@ -50,12 +52,30 @@ _XTOL = 1e-12
 _TINY = np.finfo(float).tiny
 
 
+def check_rows(*rules) -> None:
+    """Raise a :class:`RowError` for the first row that breaks one of
+    ``rules``, naming the first, in order, that it breaks; each rule is
+    (column name, values, mask of the rows that keep it, rule in words)."""
+    kept = np.logical_and.reduce([keep for _, _, keep, _ in rules])
+    if not kept.all():
+        i = int(np.argmin(kept))
+        name, values, _, rule = next(rule for rule in rules if not rule[2][i])
+        raise RowError(i, f"column '{name}' must be {rule}, got {values.tolist()[i]!r}")
+
+
+def pump_rules(pump_w: np.ndarray) -> tuple:
+    """The rules of a pump-power column, a sweep's or a counts file's."""
+    return (("pump_w", pump_w, (pump_w >= 0) & (pump_w < np.inf), "finite and non-negative"),
+            ("pump_w", pump_w, pump_w > np.r_[-np.inf, pump_w[:-1]], "strictly increasing"))
+
+
 @dataclass
 class PowerSweep:
     """A rate-or-efficiency-vs-pump-power dataset with per-point uncertainty.
 
     ``value`` is in Hz for the noise kinds and dimensionless for the
-    efficiency kinds; ``sigma`` shares its units.
+    efficiency kinds; ``sigma`` shares its units.  A row that breaks a
+    rule of its columns is a :class:`RowError`.
     """
 
     pump_w: np.ndarray
@@ -71,14 +91,10 @@ class PowerSweep:
             raise ParameterError(f"unknown sweep kind {self.kind!r}")
         if self.pump_w.ndim != 1 or len({len(self.pump_w), len(self.value), len(self.sigma)}) != 1:
             raise ParameterError("pump_w, value and sigma must be 1-d and equally long")
-        if not all(np.all(np.isfinite(a)) for a in (self.pump_w, self.value, self.sigma)):
-            raise ParameterError("pump_w, value and sigma must all be finite")
-        if np.any(self.pump_w < 0):
-            raise ParameterError("pump powers must be non-negative")
-        if np.any(np.diff(self.pump_w) <= 0):
-            raise ParameterError("pump powers must be strictly increasing")
-        if np.any(self.sigma <= 0):
-            raise ParameterError("all sigma values must be positive")
+        check_rows(*pump_rules(self.pump_w),
+                   ("value", self.value, np.isfinite(self.value), "finite"),
+                   ("sigma", self.sigma, (self.sigma > 0) & (self.sigma < np.inf),
+                    "finite and positive"))
 
     def __len__(self) -> int:
         return len(self.pump_w)

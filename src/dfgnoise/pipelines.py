@@ -70,6 +70,16 @@ def _vis_params(cfg: RunConfig) -> converter.ConverterParams:
     return replace(cfg.converter, alpha_n=cfg.alpha_n_visible)
 
 
+def _poisson_means(rates, chain, product: str) -> np.ndarray:
+    """The Poisson means of ``rates`` counted through ``chain``; one above
+    the largest that numpy draws from is an error naming ``product``."""
+    means = counting.expected_counts(rates, chain, chain.integration_time_s)
+    if not np.all(means <= counting._POISSON_LAM_MAX):
+        raise ParameterError(f"{product}: a Poisson mean must be at most numpy's limit of "
+                             f"{counting._POISSON_LAM_MAX:.6g} counts, got {np.max(means):.6g}")
+    return means
+
+
 def simulate_efficiency(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     """Synthetic internal/external efficiency sweeps with relative Gaussian
     noise, written as two ``pump_w,value,sigma`` files."""
@@ -113,7 +123,7 @@ def _simulate_scan(
     sampled = spectra.resample_scan(observed, _scan_grid(scan_cfg))
     t = chain.integration_time_s
     rng = np.random.default_rng(counting.derive_seed(seed, stream))
-    counts = rng.poisson(counting.expected_counts(sampled.rate_hz, chain, t))
+    counts = rng.poisson(_poisson_means(sampled.rate_hz, chain, path.name))
     rate = counting.normalize_counts(counts, t, chain).rate_hz
     scan = replace(sampled, rate_hz=np.clip(rate, 0.0, None), integration_time_s=t)
     return dataio.write_scan_csv(scan, path, metadata=metadata)
@@ -209,10 +219,11 @@ def simulate_power_sweep(cfg: RunConfig, seed: int, out_dir: Path, kind: str) ->
     if kind == "noise_vis":
         fraction = visible_in_band_fraction(cfg)
         rates = rates / fraction  # neighbors leak through the bandpass
-    base = counting.derive_seed(seed, stream)
-    counts = counting.simulate_sweep(rates, cfg.chains[chain_name], base)
+    chain, path = cfg.chains[chain_name], out_dir / f"sweep_{kind}.csv"
+    _poisson_means(rates, chain, path.name)
+    counts = counting.simulate_sweep(rates, chain, counting.derive_seed(seed, stream))
     return dataio.write_counts_csv(
-        grid, counts, out_dir / f"sweep_{kind}.csv",
+        grid, counts, path,
         metadata={"seed": seed, "kind": kind, "in_band_fraction": fraction,
                   "units": {"pump_w": "W", "duration_s": "s"}},
     )
@@ -229,7 +240,10 @@ def sweep_from_counts(path: Path, cfg: RunConfig) -> PowerSweep:
         )
     chain = cfg.chains[_SWEEPS[kind][1]]
     fraction = dataio.sidecar_number(path, meta, "in_band_fraction", 1.0)
-    rate, sigma = counting.normalize_counts(counts, durations, chain, in_band_fraction=fraction)
+    try:
+        rate, sigma = counting.normalize_counts(counts, durations, chain, in_band_fraction=fraction)
+    except ParameterError as exc:  # an in_band_fraction out of its range
+        raise DataFormatError(f"{dataio.sidecar_path(path)}: {exc}") from None
     return PowerSweep(pump_w=pump_w, value=rate, sigma=sigma, kind=kind)
 
 

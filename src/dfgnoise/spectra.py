@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     ResolutionError,
 )
-from .fitting import FitResult, lsq_minimize
+from .fitting import FitResult, check_rows, lsq_minimize
 
 if TYPE_CHECKING:  # annotations only
     from .params import FilterProfile, SfgMode
@@ -57,7 +57,8 @@ class SpectralScan:
     """A sampled spectrum on a uniform wavelength grid.
 
     ``filter_fwhm_nm`` records the bandwidth of the filter that produced
-    the scan; 0 marks an unfiltered (intrinsic) model spectrum.
+    the scan; 0 marks an unfiltered (intrinsic) model spectrum.  A row
+    that breaks a rule of its columns is a ``RowError``.
     """
 
     wavelength_nm: np.ndarray
@@ -67,21 +68,23 @@ class SpectralScan:
     integration_time_s: float = 0.0
 
     def __post_init__(self):
-        self.wavelength_nm = np.asarray(self.wavelength_nm, dtype=float)
-        self.rate_hz = np.asarray(self.rate_hz, dtype=float)
-        if self.wavelength_nm.ndim != 1 or len(self.wavelength_nm) != len(self.rate_hz):
+        self.wavelength_nm = wl = np.asarray(self.wavelength_nm, dtype=float)
+        self.rate_hz = rate = np.asarray(self.rate_hz, dtype=float)
+        if wl.ndim != 1 or len(wl) != len(rate):
             raise ParameterError("wavelength and rate arrays must be 1-d and equal length")
-        if len(self.wavelength_nm) < 2:
+        rising, even = np.ones((2, len(wl)), dtype=bool)
+        with np.errstate(invalid="ignore", over="ignore"):  # a step from or to inf
+            steps = wl[1:] - wl[:-1]
+            rising[1:] = steps > 0
+            even[1:] = ~(np.abs(steps - steps[:1]) > 1e-9 * steps[:1])
+        check_rows(("wavelength_nm", wl, np.isfinite(wl), "finite"),
+                   ("wavelength_nm", wl, rising, "strictly increasing"),
+                   ("wavelength_nm", wl, even, "evenly spaced"),
+                   ("rate_hz", rate, (rate >= 0) & (rate < np.inf), "finite and non-negative"))
+        if len(wl) < 2:
             raise ParameterError("a scan needs at least two samples")
-        steps = np.diff(self.wavelength_nm)
-        if np.any(steps <= 0):
-            raise ParameterError("wavelengths must be strictly increasing")
-        if np.any(np.abs(steps - steps[0]) > 1e-9 * steps[0]):
-            raise ParameterError("scan grid must be uniform")
         if self.step_nm == 0.0:
             self.step_nm = float(steps[0])
-        if np.any(self.rate_hz < 0):
-            raise ParameterError("rates must be non-negative")
 
     def __len__(self) -> int:
         return len(self.wavelength_nm)
@@ -119,8 +122,6 @@ def telecom_spectrum(
     ``dip_depth * relative_strength`` at its center.
     """
     grid = np.asarray(grid_nm, dtype=float)
-    if grid.size == 0:
-        raise ParameterError("wavelength grid is empty")
     depth = converter.dip_depth(params, pump_w)
     total_dip = np.zeros_like(grid)
     for mode in modes:
@@ -157,8 +158,6 @@ def visible_spectrum(
     (a single-mode fiber couples higher-order modes poorly).
     """
     grid = np.asarray(grid_nm, dtype=float)
-    if grid.size == 0:
-        raise ParameterError("wavelength grid is empty")
     depth = converter.dip_depth(params, pump_w)
     background = params.alpha_n * pump_w * params.length_cm
     rate = np.zeros_like(grid)

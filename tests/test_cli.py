@@ -265,7 +265,9 @@ def test_fit_efficiency_nan_row_is_bad_data(outdir, capsys):
 
 
 @pytest.mark.parametrize("corrupt", ['{"kind": "noise_vis",',
-                                     '{"kind": "noise_vis", "in_band_fraction": "most"}'])
+                                     '{"kind": "noise_vis", "in_band_fraction": "most"}',
+                                     '{"kind": "noise_vis", "in_band_fraction": 0.0}',
+                                     '{"kind": "noise_vis", "in_band_fraction": 1.5}'])
 def test_corrupt_counts_sidecar_exit_code(outdir, corrupt, capsys):
     assert run("simulate", "power-sweep", "--kind", "noise_vis", "--out", str(outdir)) == 0
     dataio.sidecar_path(outdir / "sweep_noise_vis.csv").write_text(corrupt)
@@ -683,6 +685,25 @@ def test_validate_config_write_template(tmp_path):
     assert target.exists()
 
 
+@pytest.mark.parametrize("argv, product", [
+    (["simulate", "power-sweep", "--kind", "noise_tele_detuned"], "sweep_noise_tele_detuned.csv"),
+    (["simulate", "telecom-spectrum"], "telecom_spectrum.csv"),
+], ids=["power-sweep", "telecom-spectrum"])
+def test_poisson_mean_over_numpy_limit_is_data_error(tmp_path, outdir, capsys, argv, product):
+    # a valid config whose counts numpy cannot draw
+    path = tmp_path / "cfg.yaml"
+    path.write_text(write_template(tmp_path / "base.yaml").read_text().replace(
+        "alpha_n_tele_hz_per_w_cm: 129.0e+03", "alpha_n_tele_hz_per_w_cm: 1.0e+25"))
+    assert run("validate-config", "--config", str(path)) == 0
+    capsys.readouterr()
+    assert run(*argv, "--config", str(path), "--out", str(outdir)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {product}: a Poisson mean must be at most numpy's limit of "
+                          "9.22337e+18 counts, got ")
+    assert err.count("\n") == 1
+    assert not list(outdir.iterdir())
+
+
 def test_negative_seed_option_is_usage_error(outdir, capsys):
     with pytest.raises(SystemExit) as excinfo:
         run("simulate", "efficiency", "--seed", "-1", "--out", str(outdir))
@@ -708,6 +729,17 @@ def test_bad_option_value_is_usage_error(outdir, capsys, argv, message):
     assert excinfo.value.code == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "efficiency", "--seed", "abc"], "--seed: invalid int value: 'abc'"),
+    (["fit", "noise", "--detuned", "x.csv", "--points", "2.5"],
+     "--points: invalid int value: '2.5'"),
+    (["report", "--bandwidth-hz", "wide"], "--bandwidth-hz: invalid float value: 'wide'"),
+    (["simulate", "telecom-spectrum", "--pump-w", "1W"], "--pump-w: invalid float value: '1W'"),
+], ids=["seed", "points", "bandwidth-hz", "pump-w"])
+def test_non_number_option_is_usage_error(outdir, argv, message):
+    assert message in usage_error(outdir, *argv, "--out", str(outdir))
 
 
 def test_report_without_efficiency_maximum(tmp_path, outdir):

@@ -401,6 +401,11 @@ def test_wrong_column_count_rejected(tmp_path):
     ("inf,5,10.0,8", "counts.csv:3: column 'pump_w' must be finite and non-negative, got inf"),
     # within a row, the pump power is checked before the count and duration
     ("-0.5,-1,0.0,8", "counts.csv:3: column 'pump_w' must be finite and non-negative, got -0.5"),
+    # a count numpy cannot hold as int64
+    ("0.2,99999999999999999999,10.0,8",
+     "counts.csv:3: column 'counts' must be at most 9223372036854775807, got 99999999999999999999"),
+    ("0.2,9223372036854775808,0.0,8",
+     "counts.csv:3: column 'counts' must be at most 9223372036854775807, got 9223372036854775808"),
 ])
 def test_bad_counts_row_rejected(tmp_path, capsys, row, message):
     path = tmp_path / "counts.csv"

@@ -175,16 +175,20 @@ READERS = {
 
 
 def _from_reference(path: Path, kind: str):
-    """What the reader should return, built from the reference columns."""
+    """What the reader should return, built from the reference columns; an
+    error of the type built from them names the file."""
     columns = _reference_columns(path, kind)
     arrays = [np.array(column) for column in columns]
-    if kind == "scan":
-        meta = dataio.read_fit_json(dataio.sidecar_path(path))
-        return SpectralScan(*arrays, filter_fwhm_nm=meta["filter_fwhm_nm"],
-                            step_nm=meta["step_nm"],
-                            integration_time_s=meta["integration_time_s"])
-    if kind == "sweep":
-        return PowerSweep(*arrays, kind="efficiency_int")
+    try:
+        if kind == "scan":
+            meta = dataio.read_fit_json(dataio.sidecar_path(path))
+            return SpectralScan(*arrays, filter_fwhm_nm=meta["filter_fwhm_nm"],
+                                step_nm=meta["step_nm"],
+                                integration_time_s=meta["integration_time_s"])
+        if kind == "sweep":
+            return PowerSweep(*arrays, kind="efficiency_int")
+    except ParameterError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     return (*arrays[:3], columns[3])
 
 
@@ -247,7 +251,7 @@ CSV_CASES = [
      ":4: column 'wavelength_nm' must be evenly spaced, got 1541.5"),
     ("scan", "1540.0,1\n1540.5,2\n1541.0,3\n1541.5000000001,-3",   # within 1e-9 of the step
      ":5: column 'rate_hz' must be finite and non-negative, got -3.0"),
-    ("scan", "1540.0,1", None),    # one sample: the SpectralScan's own error
+    ("scan", "1540.0,1", ": a scan needs at least two samples"),    # named by file
 ]
 
 
@@ -264,6 +268,24 @@ def test_csv_reads_like_row_reference(tmp_path, files, kind, body, error):
     assert outcome == _outcome(lambda: _from_reference(path, kind))
     if error is not None:
         assert outcome == ("DataFormatError", f"{path}{error}")
+
+
+@pytest.mark.parametrize("kind", ["scan", "sweep", "counts"])
+def test_quoted_file_reads_through_the_row_walk(tmp_path, files, monkeypatch, kind):
+    # csv.reader splits a file with quoted cells, and each of its rows is
+    # checked once, in order, before the columns convert
+    header, *rows = files[kind].read_text().splitlines()
+    path = tmp_path / files[kind].name
+    path.write_text("\n".join([header, *(",".join(f'"{cell}"' for cell in row.split(","))
+                                         for row in rows)]) + "\n")
+    meta = dataio.sidecar_path(files[kind])
+    if meta.exists():
+        dataio.sidecar_path(path).write_text(meta.read_text())
+    checked, check_row = [], dataio._check_row
+    monkeypatch.setattr(dataio, "_check_row",
+                        lambda row, *args: checked.append(row) or check_row(row, *args))
+    assert _outcome(lambda: READERS[kind](path)) == _outcome(lambda: READERS[kind](files[kind]))
+    assert checked == [row.split(",") for row in rows]
 
 
 @pytest.mark.parametrize("kind", ["scan", "sweep", "counts"])

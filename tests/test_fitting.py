@@ -45,6 +45,23 @@ def _bent_valley():
     return residual, jac
 
 
+@pytest.mark.parametrize("pump, value, sigma, row, rule", [
+    ([-0.1, 0.2, 0.3], [1, 2, 3], [1, 1, 1], 0,
+     "column 'pump_w' must be finite and non-negative, got -0.1"),
+    ([0.1, 0.2, 0.2], [1, 2, 3], [1, 1, 1], 2,
+     "column 'pump_w' must be strictly increasing, got 0.2"),
+    # the first bad row, and in it the first bad column
+    ([0.1, 0.2, 0.3], [1, np.inf, np.nan], [1, 0, 1], 1, "column 'value' must be finite, got inf"),
+    ([0.1, 0.2, 0.3], [1, 2, 3], [1, 1, np.nan], 2,
+     "column 'sigma' must be finite and positive, got nan"),
+])
+def test_power_sweep_names_bad_row_and_column(pump, value, sigma, row, rule):
+    with pytest.raises(ParameterError) as excinfo:
+        PowerSweep(pump, value, sigma, "efficiency_int")
+    assert str(excinfo.value) == f"row {row}: {rule}"
+    assert (excinfo.value.row, excinfo.value.rule) == (row, rule)
+
+
 def test_linear_model_exact():
     x = np.linspace(0.0, 1.0, 7)
     result = lsq_minimize(lambda a: 3.0 * x - a[0] * x, [0.4],

@@ -35,6 +35,24 @@ def _modes():
 
 # ------------------------------------------------------------ mode table
 
+@pytest.mark.parametrize("grid, rate, row, rule", [
+    ([1540.0, np.inf, 1542.0], [1, 2, 3], 1, "column 'wavelength_nm' must be finite, got inf"),
+    ([1540.0, 1541.0, 1541.0], [1, 2, 3], 2,
+     "column 'wavelength_nm' must be strictly increasing, got 1541.0"),
+    ([1540.0, 1541.0, 1541.5], [1, 2, -3], 2,
+     "column 'wavelength_nm' must be evenly spaced, got 1541.5"),
+    ([1540.0, 1541.0, 1542.0], [1, np.nan, -3], 1,
+     "column 'rate_hz' must be finite and non-negative, got nan"),
+    ([1540.0, 1541.0, 1542.0], [1, 2, np.inf], 2,
+     "column 'rate_hz' must be finite and non-negative, got inf"),
+])
+def test_scan_names_bad_row_and_column(grid, rate, row, rule):
+    with pytest.raises(ParameterError) as excinfo:
+        SpectralScan(grid, rate)
+    assert str(excinfo.value) == f"row {row}: {rule}"
+    assert (excinfo.value.row, excinfo.value.rule) == (row, rule)
+
+
 def test_mode_partner_wavelengths_derived():
     modes = _modes()
     assert modes[0].lambda_vis_nm == pytest.approx(579.9798, abs=1e-3)
