@@ -15,9 +15,9 @@ columns are data and are formatted on every write.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import sys
-import threading
 from dataclasses import replace
 from itertools import repeat
 from operator import itemgetter
@@ -55,27 +55,16 @@ def _cells(column, dtype=float) -> list[str]:
     return list(map(repr, np.asarray(column, dtype=dtype).tolist()))
 
 
-# the cells of the last few grids written, by their float64 bytes, least
-# recently written first; the lock lets writers in several threads share it
-_GRID_CELLS: dict[bytes, tuple[str, ...]] = {}
+# distinct grids whose cells are kept per process
 _GRID_CELLS_KEPT = 4
-_GRID_CELLS_LOCK = threading.Lock()
 
 
-def _grid_cells(grid) -> tuple[str, ...]:
-    """The cells of a float ``grid`` column, formatted once per process
-    while it is among the last ``_GRID_CELLS_KEPT`` distinct grids."""
-    grid = np.asarray(grid, dtype=float)
-    key = grid.tobytes()
-    with _GRID_CELLS_LOCK:
-        cells = _GRID_CELLS.pop(key, None)
-    if cells is None:
-        cells = tuple(map(repr, grid.tolist()))
-    with _GRID_CELLS_LOCK:
-        _GRID_CELLS[key] = cells
-        while len(_GRID_CELLS) > _GRID_CELLS_KEPT:
-            del _GRID_CELLS[next(iter(_GRID_CELLS))]
-    return cells
+@functools.lru_cache(maxsize=_GRID_CELLS_KEPT)
+def _grid_cells(key: bytes) -> tuple[str, ...]:
+    """The cells of the float64 grid column whose bytes are ``key``,
+    formatted once per process while it is among the last
+    ``_GRID_CELLS_KEPT`` distinct grids."""
+    return tuple(map(repr, np.frombuffer(key).tolist()))
 
 
 def _write_table(path: str | Path, header: str, grid, columns, sidecar: dict | None = None) -> Path:
@@ -85,7 +74,7 @@ def _write_table(path: str | Path, header: str, grid, columns, sidecar: dict | N
     given."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = map(",".join, zip(_grid_cells(grid), *columns))
+    rows = map(",".join, zip(_grid_cells(np.asarray(grid, dtype=float).tobytes()), *columns))
     path.write_text("\n".join([header, *rows]) + "\n")
     if sidecar is not None:
         _write_json(sidecar_path(path), sidecar)

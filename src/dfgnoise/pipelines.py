@@ -5,10 +5,20 @@ Every pipeline is deterministic given (config, seed): sub-streams of the
 run seed are derived per data product, and per-point seeds within a
 sweep are derived from the product stream, so outputs never depend on
 evaluation order.
+
+What depends only on the configuration is computed once per
+configuration per process, for the last few configurations: each
+spectrum's noiseless scan on its scan grid with its Poisson means, and
+the visible in-band fraction.  Each is a pure function of frozen config
+values (never of a ``RunConfig``, which is mutable), its arrays are
+read-only, an error is never kept, and every call still derives its own
+seed and draws its own noise, so no output depends on what ran before it
+in the process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +35,7 @@ from .fitting import (
     fit_efficiency_shared,
     predict_noise_curves,
 )
-from .params import NOISE_SWEEP_KINDS, FilterProfile
+from .params import NOISE_SWEEP_KINDS, FilterProfile, MeasurementChain
 
 __all__ = [
     "simulate_efficiency",
@@ -54,6 +64,15 @@ _SWEEPS = dict(zip(NOISE_SWEEP_KINDS, (
 # minimum believable efficiency uncertainty, as a fraction of eta_max
 _EFF_SIGMA_FLOOR = 0.01
 
+# distinct configurations whose noiseless scans and in-band fraction are
+# kept per process.  Keys compare floats with ==, so a config value of
+# -0.0 shares the entry of 0.0; no written byte can tell them apart.  A
+# signed zero in a key changes at most the sign of a zero rate or Poisson
+# mean (the scan grid starts at start_nm + 0.0, never at -0.0); numpy
+# draws 0 for a mean of either sign without using the stream, and the
+# normalization, the pump power and the metadata come from each call.
+_EXPECTATIONS_KEPT = 4
+
 
 def _pump_grid(sweep: SweepSettings) -> np.ndarray:
     """The pump powers of a power sweep, evenly spaced from min to max."""
@@ -70,10 +89,9 @@ def _vis_params(cfg: RunConfig) -> converter.ConverterParams:
     return replace(cfg.converter, alpha_n=cfg.alpha_n_visible)
 
 
-def _poisson_means(rates, chain, product: str) -> np.ndarray:
-    """The Poisson means of ``rates`` counted through ``chain``; one above
-    the largest that numpy draws from is an error naming ``product``."""
-    means = counting.expected_counts(rates, chain, chain.integration_time_s)
+def _poisson_means(means: np.ndarray, product: str) -> np.ndarray:
+    """``means``, the Poisson means of ``product``'s counts; one above the
+    largest that numpy draws from is an error naming ``product``."""
     if not np.all(means <= counting._POISSON_LAM_MAX):
         raise ParameterError(f"{product}: a Poisson mean must be at most numpy's limit of "
                              f"{counting._POISSON_LAM_MAX:.6g} counts, got {np.max(means):.6g}")
@@ -105,25 +123,48 @@ def simulate_efficiency(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     return paths
 
 
-def _simulate_scan(
-    seed: int, stream: int, scan_cfg: ScanGrid, instrument: FilterProfile, widths,
-    intrinsic, chain, path: Path, metadata: dict,
-) -> Path:
-    """Synthetic scan: the spectrum ``intrinsic(grid_nm)`` on a grid fine
-    enough for the instrument and the feature ``widths``, broadened by the
-    instrument's shape, resampled onto the scan grid, Poisson-counted
-    through ``chain`` and normalized back (clipping the rare negative
-    dark-subtracted rates at zero), then written to ``path``."""
+@functools.lru_cache(maxsize=_EXPECTATIONS_KEPT)
+def _expected_scan(
+    params: converter.ConverterParams, modes: tuple, pump_w: float, scan_cfg: ScanGrid,
+    instrument: FilterProfile, chain: MeasurementChain, collection: tuple | None,
+) -> tuple[spectra.SpectralScan, np.ndarray]:
+    """The noiseless scan and its Poisson means through ``chain``, both
+    read-only: the telecom dips of ``modes`` or, given ``collection`` (per
+    mode efficiencies as sorted items), their visible peaks, on a grid fine
+    enough for the instrument and the feature widths, broadened by the
+    instrument's shape and resampled onto the scan grid."""
+    if collection is None:
+        widths = [m.fwhm_dip_nm for m in modes]
+        intrinsic = functools.partial(spectra.telecom_spectrum, params, modes, pump_w)
+    else:
+        widths = [m.fwhm_peak_nm for m in modes]
+        intrinsic = functools.partial(spectra.visible_spectrum, params, modes, pump_w,
+                                      collection=dict(collection))
+    grid = _scan_grid(scan_cfg)
     step = min(scan_cfg.step_nm, min(instrument.fwhm_nm, *widths) / 10.0)
     pad = 6.0 * instrument.fwhm_nm
-    fine = np.arange(scan_cfg.start_nm - pad, scan_cfg.stop_nm + pad + step / 2, step)
+    # n_points rounds, so the last scan point may lie up to half a step past stop_nm
+    end = max(scan_cfg.stop_nm, grid[-1])
+    fine = np.arange(scan_cfg.start_nm - pad, end + pad + step / 2, step)
     # shape-only instrument response: insertion loss already sits in the chain
     response = replace(instrument, peak_transmission=1.0)
     observed = spectra.convolve_with_filter(intrinsic(fine), response)
-    sampled = spectra.resample_scan(observed, _scan_grid(scan_cfg))
+    sampled = spectra.resample_scan(observed, grid)
+    means = counting.expected_counts(sampled.rate_hz, chain, chain.integration_time_s)
+    for array in (sampled.wavelength_nm, sampled.rate_hz, means):
+        array.flags.writeable = False
+    return sampled, means
+
+
+def _simulate_scan(seed: int, stream: int, expected, chain, path: Path, metadata: dict) -> Path:
+    """Synthetic scan: the ``expected`` noiseless scan and its Poisson
+    means, counted with the product stream's seed and normalized back
+    through ``chain`` (clipping the rare negative dark-subtracted rates at
+    zero), then written to ``path``."""
+    sampled, means = expected
     t = chain.integration_time_s
     rng = np.random.default_rng(counting.derive_seed(seed, stream))
-    counts = rng.poisson(_poisson_means(sampled.rate_hz, chain, path.name))
+    counts = rng.poisson(_poisson_means(means, path.name))
     rate = counting.normalize_counts(counts, t, chain).rate_hz
     scan = replace(sampled, rate_hz=np.clip(rate, 0.0, None), integration_time_s=t)
     return dataio.write_scan_csv(scan, path, metadata=metadata)
@@ -135,11 +176,11 @@ def simulate_telecom_spectrum(
     """Synthetic telecom noise scan: intrinsic dips, grating-filter
     broadening, Poisson counting, normalization back to waveguide rates."""
     p = cfg.sweep.pump_max_w if pump_w is None else pump_w
+    chain = cfg.chains["telecom"]
+    expected = _expected_scan(cfg.converter, tuple(cfg.modes), p, cfg.telecom_scan,
+                              cfg.tg_filter, chain, None)
     return _simulate_scan(
-        seed, _STREAM_TELE_SPECTRUM, cfg.telecom_scan, cfg.tg_filter,
-        [m.fwhm_dip_nm for m in cfg.modes],
-        lambda grid: spectra.telecom_spectrum(cfg.converter, cfg.modes, p, grid),
-        cfg.chains["telecom"], out_dir / "telecom_spectrum.csv",
+        seed, _STREAM_TELE_SPECTRUM, expected, chain, out_dir / "telecom_spectrum.csv",
         {"seed": seed, "pump_w": p, "kind": "telecom-spectrum",
          "bandwidth_ref_hz": cfg.converter.bandwidth_ref_hz},
     )
@@ -154,13 +195,14 @@ def simulate_visible_spectrum(
     if collection not in cfg.collection:
         raise ParameterError(f"unknown collection preset {collection!r}")
     p = cfg.sweep.pump_max_w if pump_w is None else pump_w
+    chain = cfg.chains["visible"]
+    expected = _expected_scan(
+        _vis_params(cfg), tuple(cfg.modes), p, cfg.visible_scan,
+        FilterProfile(shape="gaussian", fwhm_nm=cfg.spectrometer_fwhm_nm), chain,
+        tuple(sorted(cfg.collection[collection].items())))
     return _simulate_scan(
-        seed, _STREAM_VIS_SPECTRUM, cfg.visible_scan,
-        FilterProfile(shape="gaussian", fwhm_nm=cfg.spectrometer_fwhm_nm),
-        [m.fwhm_peak_nm for m in cfg.modes],
-        lambda grid: spectra.visible_spectrum(_vis_params(cfg), cfg.modes, p, grid,
-                                              collection=cfg.collection[collection]),
-        cfg.chains["visible"], out_dir / f"visible_spectrum_{collection}.csv",
+        seed, _STREAM_VIS_SPECTRUM, expected, chain,
+        out_dir / f"visible_spectrum_{collection}.csv",
         {"seed": seed, "pump_w": p, "kind": "visible-spectrum", "collection": collection},
     )
 
@@ -182,22 +224,28 @@ def visible_in_band_fraction(cfg: RunConfig) -> float:
     if zero:
         raise ParameterError(f"no visible noise in the {label} peak to sweep: "
                              f"{' and '.join(zero)} {'is' if len(zero) == 1 else 'are'} 0")
-    vis_params = _vis_params(cfg)
-    fundamental = [cfg.modes[0]]
-    step = min(m.fwhm_peak_nm for m in cfg.modes) / 20.0
-    peaks = [m.lambda_vis_nm for m in cfg.modes]
+    return _in_band_fraction(_vis_params(cfg), tuple(cfg.modes), tuple(sorted(smf.items())),
+                             cfg.bp_filter, cfg.sweep.pump_max_w)
+
+
+@functools.lru_cache(maxsize=_EXPECTATIONS_KEPT)
+def _in_band_fraction(vis_params: converter.ConverterParams, modes: tuple, smf: tuple,
+                      bp: FilterProfile, p_ref: float) -> float:
+    """:func:`visible_in_band_fraction` of a configuration's parts, ``smf``
+    as sorted items; ``p_ref`` is any pump power, as every peak shares the
+    same depth factor."""
+    smf = dict(smf)
+    step = min(m.fwhm_peak_nm for m in modes) / 20.0
+    peaks = [m.lambda_vis_nm for m in modes]
     lo = min(peaks) - 2.0
     hi = max(peaks) + 2.0
     grid = np.arange(lo, hi, step)
-    # the fraction is pump-independent: every dip shares the same depth factor
-    p_ref = cfg.sweep.pump_max_w
-    total = spectra.visible_spectrum(vis_params, cfg.modes, p_ref, grid, collection=smf)
-    target = spectra.visible_spectrum(vis_params, fundamental, p_ref, grid, collection=smf)
+    total = spectra.visible_spectrum(vis_params, modes, p_ref, grid, collection=smf)
+    target = spectra.visible_spectrum(vis_params, modes[:1], p_ref, grid, collection=smf)
     try:
-        return spectra.band_fraction(target, total, cfg.bp_filter)
+        return spectra.band_fraction(target, total, bp)
     except ParameterError as exc:
         # the two spectra share one grid, so the bandpass misses every peak
-        bp = cfg.bp_filter
         raise ParameterError(
             f"the visible bandpass passes none of the peaks at "
             f"{min(peaks):.1f}-{max(peaks):.1f} nm: "
@@ -220,7 +268,7 @@ def simulate_power_sweep(cfg: RunConfig, seed: int, out_dir: Path, kind: str) ->
         fraction = visible_in_band_fraction(cfg)
         rates = rates / fraction  # neighbors leak through the bandpass
     chain, path = cfg.chains[chain_name], out_dir / f"sweep_{kind}.csv"
-    _poisson_means(rates, chain, path.name)
+    _poisson_means(counting.expected_counts(rates, chain, chain.integration_time_s), path.name)
     counts = counting.simulate_sweep(rates, chain, counting.derive_seed(seed, stream))
     return dataio.write_counts_csv(
         grid, counts, path,

@@ -704,6 +704,26 @@ def test_poisson_mean_over_numpy_limit_is_data_error(tmp_path, outdir, capsys, a
     assert not list(outdir.iterdir())
 
 
+@pytest.mark.parametrize("scan, start, stop, step, command, product", [
+    ("telecom", 1520.0, 1577.6, 5.0, "telecom-spectrum", "telecom_spectrum.csv"),
+    ("visible", 578.0, 585.1, 2.0, "visible-spectrum", "visible_spectrum_smf.csv"),
+])
+def test_scan_whose_last_point_overshoots_stop_is_simulated(tmp_path, outdir, scan, start, stop,
+                                                           step, command, product):
+    # n_points rounds, so the last point lies 2.4 nm (telecom) or 0.9 nm
+    # (visible) past stop_nm, beyond the instrument padding of the stop
+    text = write_template(tmp_path / "base.yaml").read_text()
+    line = next(line for line in text.splitlines() if line.startswith(f"  {scan}: {{start_nm"))
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text.replace(
+        line, f"  {scan}: {{start_nm: {start}, stop_nm: {stop}, step_nm: {step}}}"))
+    assert run("validate-config", "--config", str(path)) == 0
+    assert run("simulate", command, "--config", str(path), "--out", str(outdir)) == 0
+    written, _ = dataio.read_scan_csv(outdir / product)
+    assert len(written) == round((stop - start) / step) + 1
+    assert written.wavelength_nm[-1] > stop
+
+
 def test_negative_seed_option_is_usage_error(outdir, capsys):
     with pytest.raises(SystemExit) as excinfo:
         run("simulate", "efficiency", "--seed", "-1", "--out", str(outdir))

@@ -132,29 +132,33 @@ def test_a_signed_zero_grid_is_its_own_grid(kind, data):
                 assert path.read_text().splitlines()[1].startswith(repr(first) + ",")
 
 
-def test_grid_memo_keeps_only_the_last_grids(tmp_path, monkeypatch):
-    monkeypatch.setattr(dataio, "_GRID_CELLS", {})
+def test_grid_memo_keeps_only_the_last_grids(tmp_path):
+    dataio._grid_cells.cache_clear()
     grids = [np.linspace(0.0, 0.1 * k, 7) for k in range(1, 7)]
     sweeps = [PowerSweep(grid, np.arange(7.0) + k, np.full(7, 0.5), "noise_vis")
               for k, grid in enumerate(grids)]
     # the fourth write touches the first grid, so it outlives the next two
     order = [0, 1, 2, 0, 3, 4, 5]
-    for grid, sweep in [(grids[k], sweeps[k]) for k in order]:
+    for n, (grid, sweep) in enumerate([(grids[k], sweeps[k]) for k in order]):
         path = dataio.write_sweep_csv(sweep, tmp_path / "sweep.csv")
         assert path.read_text() == _reference_table(
             "pump_w,value,sigma", grid.tolist(), sweep.value.tolist(), sweep.sigma.tolist())
-        # at most the last few grids are kept, and never a data column
-        assert len(dataio._GRID_CELLS) <= dataio._GRID_CELLS_KEPT
-        assert set(dataio._GRID_CELLS) <= {g.tobytes() for g in grids}
-        assert grid.tobytes() in dataio._GRID_CELLS
+        # one lookup per write, keyed by the grid alone: never a data column
+        info = dataio._grid_cells.cache_info()
+        assert (info.hits + info.misses, info.hits) == (n + 1, int(n >= 3))
+        assert info.currsize <= dataio._GRID_CELLS_KEPT
     assert dataio._GRID_CELLS_KEPT == 4
-    assert list(dataio._GRID_CELLS) == [grids[k].tobytes() for k in (0, 3, 4, 5)]
+    # the kept grids are the last four touched; the second is gone
+    for k, kept in ((0, True), (3, True), (4, True), (5, True), (1, False)):
+        hits = dataio._grid_cells.cache_info().hits
+        dataio._grid_cells(grids[k].tobytes())
+        assert dataio._grid_cells.cache_info().hits == hits + kept
 
 
-def test_threads_share_the_grid_memo(monkeypatch):
+def test_threads_share_the_grid_memo():
     # more threads than cores, each formatting more grids than are kept,
     # with thread switches as often as the interpreter allows
-    monkeypatch.setattr(dataio, "_GRID_CELLS", {})
+    dataio._grid_cells.cache_clear()
     grids = [np.linspace(0.0, 0.1 * k, 3) for k in range(1, 7)]
     expected = [tuple(map(repr, grid.tolist())) for grid in grids]
     failures = []
@@ -163,7 +167,7 @@ def test_threads_share_the_grid_memo(monkeypatch):
         try:
             for r in range(20_000):
                 k = (t + r) % len(grids)
-                if dataio._grid_cells(grids[k]) != expected[k]:
+                if dataio._grid_cells(grids[k].tobytes()) != expected[k]:
                     failures.append((t, r))
         except Exception as exc:  # reported by the assertion below
             failures.append(exc)
@@ -180,7 +184,7 @@ def test_threads_share_the_grid_memo(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert len(dataio._GRID_CELLS) == dataio._GRID_CELLS_KEPT
+    assert dataio._grid_cells.cache_info().currsize == dataio._GRID_CELLS_KEPT
 
 
 # the commands that write counts, residual and scan files, on 2000 points
