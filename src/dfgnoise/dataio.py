@@ -3,13 +3,25 @@
 Floats are written with ``repr`` so every emitted file re-parses to
 bit-identical values, and nothing carries a timestamp: re-running a
 command with the same config and seed reproduces the files byte for
-byte.  Units are part of the header names (nm, W, Hz, s).
+byte.  Units are part of the header names (nm, W, Hz, s).  Each table's
+columns, their names and types, are declared once, for its writer's
+header and its reader's parse.
 
-Every table's first column is a grid (``pump_w`` or ``wavelength_nm``)
-that the other files of a run share, so its cells are kept, per process,
-for the last few distinct grids and formatted once; the key is the
-grid's float64 bytes, so 0.0 and -0.0 are different grids.  The other
-columns are data and are formatted on every write.
+Two things are kept per process, and no output depends on either:
+
+- the cells of a grid column.  Every table's first column is a grid
+  (``pump_w`` or ``wavelength_nm``) that the other files of a run share,
+  so its cells are formatted once and kept for the last few distinct
+  grids; the key is the grid's float64 bytes, so 0.0 and -0.0 are
+  different grids.  The other columns are formatted on every write.
+- the columns of the last few scan, sweep and counts tables written, as
+  the reader returns them, keyed by the table's declaration and the
+  exact text written.  The next read of a file that holds that text
+  takes them instead of parsing it, and drops them; a second read
+  parses.  ``repr`` round-trips every value but a NaN's sign, so a table
+  that holds a NaN is not kept.  The file and its sidecar are still
+  read and every row rule still runs, so a file changed after it was
+  written reads, and fails, as a fresh process reads it.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from .converter import ConverterParams
 from .counting import SweepCounts
 from .errors import DataFormatError, ParameterError, RowError
 from .fitting import FitResult, PowerSweep, check_rows, pump_rules
-from .spectra import SpectralScan
+from .spectra import _STEP_RTOL, SpectralScan
 
 __all__ = [
     "write_scan_csv",
@@ -49,11 +61,12 @@ __all__ = [
 ]
 
 
-def _cells(column, dtype=float) -> list[str]:
-    """A column as CSV cells: the ``repr`` of each value as a Python number
-    of ``dtype``, which re-parses bit for bit."""
-    return list(map(repr, np.asarray(column, dtype=dtype).tolist()))
-
+# each table's columns, (name, type), for its writer and its reader
+_SCAN = (("wavelength_nm", float), ("rate_hz", float))
+_SWEEP = (("pump_w", float), ("value", float), ("sigma", float))
+_COUNTS = (("pump_w", float), ("counts", int), ("duration_s", float), ("seed", int))
+_RESIDUALS = (("pump_w", float), ("value", float), ("model", float), ("residual", float),
+              ("sigma", float))
 
 # distinct grids whose cells are kept per process
 _GRID_CELLS_KEPT = 4
@@ -67,17 +80,50 @@ def _grid_cells(key: bytes) -> tuple[str, ...]:
     return tuple(map(repr, np.frombuffer(key).tolist()))
 
 
-def _write_table(path: str | Path, header: str, grid, columns, sidecar: dict | None = None) -> Path:
-    """Write a CSV of a header line and one row per point of the float
-    ``grid``: its cell, then the cell at the same position of each of
-    ``columns`` (lists of cells); plus the JSON ``sidecar`` when one is
-    given."""
+# tables written whose columns are kept for their next read, per process:
+# a run writes five before its fits read four
+_TABLES_KEPT = 6
+# (table declaration, text written) -> its columns as _read_columns returns
+# them, oldest first.  Each step on it is one dict operation whose hashing
+# and comparing run in C, so threads share it without a lock
+_handoff: dict[tuple, list[list]] = {}
+
+
+def _write_table(path: str | Path, table, columns, sidecar: dict | None = None,
+                 keep: bool = True) -> Path:
+    """Write a CSV with the header of ``table`` and one row per point of
+    the first of ``columns``, a float grid: the ``repr`` of each value as
+    a Python number of its column's type, where a column of one number
+    holds it in every row; plus the JSON ``sidecar`` when one is given.
+
+    With ``keep``, the columns are kept for the next read of the same
+    text, unless one is not as long as the grid or holds a NaN: ``repr``
+    writes a NaN of either sign as ``nan``, which parses as positive."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = map(",".join, zip(_grid_cells(np.asarray(grid, dtype=float).tobytes()), *columns))
-    path.write_text("\n".join([header, *rows]) + "\n")
+    n = len(columns[0])
+    values, cells = [], []
+    for column, (_, kind) in zip(columns, table):
+        column = np.asarray(column, dtype=kind)
+        if column.ndim:
+            values.append(column.tolist())
+            cells.append(map(repr, values[-1]))
+            keep = keep and len(column) == n
+        else:
+            values.append([column.item()] * n)
+            cells.append(repeat(repr(column.item())))
+    cells[0] = _grid_cells(np.asarray(columns[0], dtype=float).tobytes())
+    header = ",".join(name for name, _ in table)
+    text = "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+    path.write_text(text)
     if sidecar is not None:
         _write_json(sidecar_path(path), sidecar)
+    if keep and "nan" not in text:  # no NaN cell, as no header holds "nan"
+        key = (table, text)
+        _handoff.pop(key, None)  # a table written again is the newest
+        _handoff[key] = values
+        for stale in list(_handoff)[:-_TABLES_KEPT]:
+            _handoff.pop(stale, None)
     return path
 
 
@@ -207,18 +253,23 @@ def _split_columns(text: str, columns) -> list[list] | None:
 
 def _read_columns(path: Path, columns) -> list[list]:
     """The columns of a CSV with the header and types of ``columns``, a
-    sequence of (name, ``float`` or ``int``), each converted whole to a
-    list of Python numbers.
+    table's declaration of (name, ``float`` or ``int``), each converted
+    whole to a list of Python numbers.
 
-    A plain file is split by :func:`_split_columns`.  Any other is split
-    by ``csv.reader`` once, so quoted cells parse, and its rows are walked
-    in order, each row's length before its cells, so the error names the
-    first bad line and cell.
+    A file that holds the text of a table whose columns a writer of this
+    process kept takes those columns, once.  A plain file is split by
+    :func:`_split_columns`.  Any other is split by ``csv.reader`` once,
+    so quoted cells parse, and its rows are walked in order, each row's
+    length before its cells, so the error names the first bad line and
+    cell.
     """
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    kept = _handoff.pop((columns, text), None)
+    if kept is not None:
+        return kept
     split = _split_columns(text, columns)
     if split is not None:
         return split
@@ -260,7 +311,7 @@ def _from_rows(path: Path, make, *args):
 def write_scan_csv(scan: SpectralScan, path: str | Path, metadata: dict | None = None) -> Path:
     """Write a spectral scan as CSV plus a JSON metadata sidecar."""
     return _write_table(
-        path, "wavelength_nm,rate_hz", scan.wavelength_nm, [_cells(scan.rate_hz)],
+        path, _SCAN, [scan.wavelength_nm, scan.rate_hz],
         {"filter_fwhm_nm": scan.filter_fwhm_nm, "step_nm": scan.step_nm,
          "integration_time_s": scan.integration_time_s, **(metadata or {})})
 
@@ -269,16 +320,26 @@ def read_scan_csv(path: str | Path) -> tuple[SpectralScan, dict]:
     """Read a scan CSV and its sidecar (empty dict when absent).
 
     Once every cell converts, the rows are checked, as
-    :class:`SpectralScan` does, before the sidecar is read.
+    :class:`SpectralScan` does, before the sidecar is read.  The
+    sidecar's filter width and integration time must not be negative,
+    and its step, unless 0, must be the grid's, as even as the grid's
+    own steps are.
     """
     path = Path(path)
-    wl, rate = _read_columns(path, (("wavelength_nm", float), ("rate_hz", float)))
+    wl, rate = _read_columns(path, _SCAN)
     scan = _from_rows(path, SpectralScan, np.array(wl), np.array(rate))
     meta = _read_sidecar(path)
-    scan.filter_fwhm_nm = sidecar_number(path, meta, "filter_fwhm_nm", 0.0)
-    # a step of 0 is the grid's own, as SpectralScan takes it
-    scan.step_nm = sidecar_number(path, meta, "step_nm", 0.0) or scan.step_nm
-    scan.integration_time_s = sidecar_number(path, meta, "integration_time_s", 0.0)
+    for key in ("filter_fwhm_nm", "step_nm", "integration_time_s"):
+        value = sidecar_number(path, meta, key, 0.0)
+        if key == "step_nm":  # 0 is the grid's own step
+            if value and abs(value - scan.step_nm) > _STEP_RTOL * scan.step_nm:
+                raise DataFormatError(f"{sidecar_path(path)}: step_nm is {value!r}, but the "
+                                      f"grid's step is {scan.step_nm!r}")
+            value = value or scan.step_nm
+        elif value < 0:
+            raise DataFormatError(f"{sidecar_path(path)}: {key} must be non-negative, "
+                                  f"got {value!r}")
+        setattr(scan, key, value)
     return scan, meta
 
 
@@ -287,7 +348,7 @@ def read_scan_csv(path: str | Path) -> tuple[SpectralScan, dict]:
 def write_sweep_csv(sweep: PowerSweep, path: str | Path, metadata: dict | None = None) -> Path:
     """Write a value-vs-power dataset (``pump_w,value,sigma``) plus sidecar."""
     return _write_table(
-        path, "pump_w,value,sigma", sweep.pump_w, [_cells(sweep.value), _cells(sweep.sigma)],
+        path, _SWEEP, [sweep.pump_w, sweep.value, sweep.sigma],
         {"kind": sweep.kind, **(metadata or {})})
 
 
@@ -299,7 +360,7 @@ def read_sweep_csv(path: str | Path, kind: str) -> PowerSweep:
     does, before the sidecar is read.
     """
     path = Path(path)
-    p, y, s = _read_columns(path, (("pump_w", float), ("value", float), ("sigma", float)))
+    p, y, s = _read_columns(path, _SWEEP)
     sweep = _from_rows(path, PowerSweep, np.array(p), np.array(y), np.array(s), kind)
     recorded = _read_sidecar(path).get("kind", kind)
     if recorded != kind:
@@ -314,9 +375,7 @@ def write_counts_csv(
 ) -> Path:
     """Write raw counting data (``pump_w,counts,duration_s,seed``) plus sidecar."""
     return _write_table(
-        path, "pump_w,counts,duration_s,seed", pump_w,
-        [_cells(sweep.counts, int), [repr(float(sweep.duration_s))] * len(sweep),
-         _cells(sweep.seeds, int)],
+        path, _COUNTS, [pump_w, sweep.counts, sweep.duration_s, sweep.seeds],
         metadata or {})
 
 
@@ -327,8 +386,7 @@ def read_counts_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
     :func:`pump_rules`, then its count and duration.
     """
     path = Path(path)
-    p, c, d, seeds = _read_columns(
-        path, (("pump_w", float), ("counts", int), ("duration_s", float), ("seed", int)))
+    p, c, d, seeds = _read_columns(path, _COUNTS)
     pump_w, durations = np.array(p), np.array(d)
     try:
         counts = np.array(c, dtype=np.int64)
@@ -355,9 +413,9 @@ def write_fit(result: FitResult, path: str | Path, fit_name: str, inputs, residu
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     for tag, sweep, model in residuals:
-        _write_table(path.parent / f"residuals_{tag}.csv", "pump_w,value,model,residual,sigma",
-                     sweep.pump_w, [_cells(sweep.value), _cells(model),
-                                    _cells(sweep.value - model), _cells(sweep.sigma)])
+        _write_table(path.parent / f"residuals_{tag}.csv", _RESIDUALS,
+                     [sweep.pump_w, sweep.value, model, sweep.value - model, sweep.sigma],
+                     keep=False)
     _write_json(path, {
         "fit": fit_name,
         "parameter_order": result.names,

@@ -51,6 +51,14 @@ GAUSSIAN_AREA_FACTOR = math.sqrt(math.pi / (4.0 * math.log(2.0)))
 # kernel support and "far from the feature" cutoff, in units of FWHM
 _KERNEL_CUTOFF_FWHM = 5.0
 
+# relative difference within which two steps of a scan grid are equal
+_STEP_RTOL = 1e-9
+
+# amplitude, in standard deviations, of a significant feature: a window
+# offers a fit some thirty centers and many widths to choose from, so on
+# mode-free template scans 3 sigma finds a feature in about 2% of windows
+_SIGNIFICANT_SIGMAS = 5.0
+
 
 @dataclass
 class SpectralScan:
@@ -76,7 +84,7 @@ class SpectralScan:
         with np.errstate(invalid="ignore", over="ignore"):  # a step from or to inf
             steps = wl[1:] - wl[:-1]
             rising[1:] = steps > 0
-            even[1:] = ~(np.abs(steps - steps[:1]) > 1e-9 * steps[:1])
+            even[1:] = ~(np.abs(steps - steps[:1]) > _STEP_RTOL * steps[:1])
         check_rows(("wavelength_nm", wl, np.isfinite(wl), "finite"),
                    ("wavelength_nm", wl, rising, "strictly increasing"),
                    ("wavelength_nm", wl, even, "evenly spaced"),
@@ -223,8 +231,11 @@ class GaussianFeature:
     """A fitted Gaussian dip or peak on a constant baseline.
 
     ``amplitude_hz`` is signed (negative for dips).  ``significant`` is
-    False when the amplitude is consistent with zero at three standard
-    deviations, i.e. no feature was found.
+    False, i.e. no feature of the kind was found, unless the amplitude
+    has the kind's sign and exceeds five standard deviations, the center
+    lies inside the window, the width is at least one scan step and the
+    width of the filter that produced the scan and at most the window's,
+    and the covariance has full rank.
     """
 
     center_nm: float
@@ -308,11 +319,15 @@ def fit_gaussian_feature(
     cov = result.covariance * scale
     sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
     values = result.as_vector()
+    center, fwhm = float(values[0]), abs(float(values[1]))
     amp, s_amp = float(values[2]), float(sig[2])
-    significant = abs(amp) > 3.0 * s_amp if s_amp > 0 else abs(amp) > 0
+    significant = ((-amp if kind == "dip" else amp) > _SIGNIFICANT_SIGMAS * s_amp
+                   and lo <= center <= hi
+                   and max(scan.step_nm, scan.filter_fwhm_nm) <= fwhm <= hi - lo
+                   and np.linalg.matrix_rank(result.covariance) == len(values))
     return GaussianFeature(
-        center_nm=float(values[0]),
-        fwhm_nm=abs(float(values[1])),
+        center_nm=center,
+        fwhm_nm=fwhm,
         amplitude_hz=amp,
         baseline_hz=float(values[3]),
         sigma_center_nm=float(sig[0]),

@@ -303,6 +303,38 @@ def test_scan_sidecar_number_is_data_error(outdir, key, value):
         dataio.read_scan_csv(path)
 
 
+@pytest.mark.parametrize("key, value, error", [
+    ("step_nm", 5.0, "step_nm is 5.0, but the grid's step is 0.09999999999990905"),
+    ("step_nm", -0.1, "step_nm is -0.1, but the grid's step is 0.09999999999990905"),
+    ("step_nm", 0.1 * (1 + 2e-9), "step_nm is 0.1000000002, but the grid's step is "
+                                  "0.09999999999990905"),
+    ("filter_fwhm_nm", -0.5, "filter_fwhm_nm must be non-negative, got -0.5"),
+    ("integration_time_s", -1.0, "integration_time_s must be non-negative, got -1.0"),
+])
+def test_scan_sidecar_that_contradicts_the_scan_is_data_error(outdir, key, value, error):
+    # a step of 5 nm read with the template's 0.1 nm grid would put the
+    # fitted dip at 12,261,585 nm
+    assert run("simulate", "telecom-spectrum", "--out", str(outdir)) == 0
+    path = outdir / "telecom_spectrum.csv"
+    meta = json.loads(dataio.sidecar_path(path).read_text())
+    dataio.sidecar_path(path).write_text(json.dumps({**meta, key: value}))
+    with pytest.raises(DataFormatError) as excinfo:
+        dataio.read_scan_csv(path)
+    assert str(excinfo.value) == f"{dataio.sidecar_path(path)}: {error}"
+
+
+@pytest.mark.parametrize("step", [0.0, 0.1, 0.09999999999990905, 0.1 * (1 + 5e-10)])
+def test_scan_sidecar_step_of_the_grid_reads(outdir, step):
+    # 0 means the grid's own step; the template writes 0.09999999999990905
+    assert run("simulate", "telecom-spectrum", "--out", str(outdir)) == 0
+    path = outdir / "telecom_spectrum.csv"
+    meta = json.loads(dataio.sidecar_path(path).read_text())
+    assert meta["step_nm"] == 0.09999999999990905
+    dataio.sidecar_path(path).write_text(json.dumps({**meta, "step_nm": step}))
+    scan, _ = dataio.read_scan_csv(path)
+    assert scan.step_nm == (step or 0.09999999999990905)
+
+
 @pytest.mark.parametrize("broken", ["missing", "string"])
 @pytest.mark.parametrize("command", ["fit-noise", "report"])
 def test_efficiency_fit_missing_key_exit_code(outdir, command, broken, capsys):

@@ -181,14 +181,18 @@ def _from_reference(path: Path, kind: str):
     arrays = [np.array(column) for column in columns]
     try:
         if kind == "scan":
-            meta = dataio.read_fit_json(dataio.sidecar_path(path))
-            return SpectralScan(*arrays, filter_fwhm_nm=meta["filter_fwhm_nm"],
-                                step_nm=meta["step_nm"],
-                                integration_time_s=meta["integration_time_s"])
+            scan = SpectralScan(*arrays)
         if kind == "sweep":
             return PowerSweep(*arrays, kind="efficiency_int")
     except ParameterError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
+    if kind == "scan":
+        # the sidecar's step, unless 0, is the grid's, to 1e-9 of it
+        step = dataio.read_fit_json(dataio.sidecar_path(path))["step_nm"]
+        if step and abs(step - scan.step_nm) > 1e-9 * scan.step_nm:
+            raise DataFormatError(f"{dataio.sidecar_path(path)}: step_nm is {step!r}, "
+                                  f"but the grid's step is {scan.step_nm!r}")
+        return scan
     return (*arrays[:3], columns[3])
 
 

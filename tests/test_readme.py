@@ -84,11 +84,12 @@ def _in_process(argv: list[str], capsys) -> tuple[int, str, str]:
 
 
 def test_readme_chain_writes_the_same_bytes_cold_and_in_process(tmp_path, monkeypatch, capsys):
-    # module-level state (the YAML loader class, registered seed types)
-    # must not leak from one command into the next of the same process, and
-    # the program entry must end each command as main returns from it
-    cold, warm = tmp_path / "cold", tmp_path / "warm"
-    for root in (cold, warm):
+    # module-level state (the YAML loader class, registered seed types, what
+    # is kept per process) must not leak from one command into the next of
+    # the same process, nor from one run of the chain into the next, and the
+    # program entry must end each command as main returns from it
+    cold, warm, again = tmp_path / "cold", tmp_path / "warm", tmp_path / "again"
+    for root in (cold, warm, again):
         root.mkdir()
         (root / "zero.csv").write_text(ZERO_SWEEP)
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -101,16 +102,18 @@ def test_readme_chain_writes_the_same_bytes_cold_and_in_process(tmp_path, monkey
         proc = subprocess.run([sys.executable, "-m", "dfgnoise.cli", *argv], cwd=cold, env=env,
                               capture_output=True, text=True, timeout=120)
         cold_runs.append((proc.returncode, proc.stdout, proc.stderr))
-    monkeypatch.chdir(warm)
     environ = dict(os.environ)
-    warm_runs = [_in_process(argv, capsys) for argv, _ in cases]
-    assert os.environ == environ
-    for (argv, code), cold_run, warm_run in zip(cases, cold_runs, warm_runs):
-        assert cold_run[0] == code, (argv, cold_run[2])
-        assert cold_run == warm_run, argv
+    for root in (warm, again):
+        monkeypatch.chdir(root)
+        warm_runs = [_in_process(argv, capsys) for argv, _ in cases]
+        assert os.environ == environ
+        for (argv, code), cold_run, warm_run in zip(cases, cold_runs, warm_runs):
+            assert cold_run[0] == code, (argv, cold_run[2])
+            assert cold_run == warm_run, argv
     written = _digests(cold)
     assert sum(not name.startswith("zero") for name in written) == 22
     assert _digests(warm) == written
+    assert _digests(again) == written
 
 
 def _parser_options(parser: argparse.ArgumentParser, command: str = "") -> dict[str, list[str]]:

@@ -1,11 +1,15 @@
 """Tests for spectral synthesis, convolution and Gaussian feature fitting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dfgnoise import spectra
+from dfgnoise import dataio, pipelines, spectra
+from dfgnoise.config import default_config
 from dfgnoise.converter import ConverterParams
 from dfgnoise.errors import (
+    FitFailureError,
     InsufficientDataError,
     ModelViolationError,
     NonPhysicalWidthError,
@@ -284,6 +288,56 @@ def test_fit_gaussian_feature_flat_scan_reports_no_feature():
     scan = SpectralScan(grid, BACKGROUND_044 + 20.0 * rng.standard_normal(len(grid)))
     feature = spectra.fit_gaussian_feature(scan, (1539.0, 1543.0), "dip")
     assert not feature.significant
+
+
+# windows of the template scans that hold no mode
+MODE_FREE_TELECOM_NM = (1535.0, 1560.0, 1570.0)
+MODE_FREE_VISIBLE_NM = (578.7, 583.0, 583.6)
+
+
+def _significant(scan, center: float, half: float, kind: str) -> bool:
+    """Whether a significant feature is fitted in the window; a fit that
+    does not converge finds none."""
+    try:
+        return spectra.fit_gaussian_feature(scan, (center - half, center + half), kind).significant
+    except FitFailureError:
+        return False
+
+
+def _template_features(cfg, seed: int, root) -> dict:
+    """Whether each mode's dip and peak, and each mode-free window, of the
+    template scans of ``seed`` holds a significant feature."""
+    tele, _ = dataio.read_scan_csv(pipelines.simulate_telecom_spectrum(cfg, seed, root))
+    vis, _ = dataio.read_scan_csv(
+        pipelines.simulate_visible_spectrum(cfg, seed, root, collection="mmf"))
+    found = {}
+    for mode in cfg.modes:
+        found[mode.label, "dip"] = _significant(tele, mode.lambda_tele_nm, 1.5, "dip")
+        found[mode.label, "peak"] = _significant(vis, mode.lambda_vis_nm, 0.35, "peak")
+    for center in MODE_FREE_TELECOM_NM:
+        found[center, "dip"] = _significant(tele, center, 1.5, "dip")
+    for center in MODE_FREE_VISIBLE_NM:
+        found[center, "peak"] = _significant(vis, center, 0.35, "peak")
+    return found
+
+
+@pytest.mark.parametrize("seed", [default_config().seed, *range(1, 11)])
+def test_fit_gaussian_feature_finds_the_modes_and_invents_none(tmp_path, seed):
+    # on the template's own seed, 3 sigma alone called a dip significant in
+    # each mode-free telecom window, at 1135.8 nm for the one at 1560 nm
+    found = _template_features(default_config(), seed, tmp_path)
+    assert {key for key, significant in found.items() if significant} == {
+        (label, kind) for label in ("TEM00", "TEM01", "TEM02") for kind in ("dip", "peak")}
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_a_mode_of_zero_strength_is_missing(tmp_path, seed):
+    cfg = default_config()
+    cfg = replace(cfg, modes=[replace(mode, relative_strength=0.0) if mode.label == "TEM01"
+                              else mode for mode in cfg.modes])
+    found = _template_features(cfg, seed, tmp_path)
+    assert {key for key, significant in found.items() if significant} == {
+        (label, kind) for label in ("TEM00", "TEM02") for kind in ("dip", "peak")}
 
 
 def test_fit_gaussian_feature_window_too_small():
