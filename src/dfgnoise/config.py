@@ -428,9 +428,11 @@ def load_config(path: str | Path | None) -> RunConfig:
         return default_config()
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     return parse_config(_load_yaml(text, str(path)), source=str(path))
 
 

@@ -96,25 +96,29 @@ def _write_table(path: str | Path, table, columns, sidecar: dict | None = None,
     a Python number of its column's type, where a column of one number
     holds it in every row; plus the JSON ``sidecar`` when one is given.
 
-    With ``keep``, the columns are kept for the next read of the same
-    text, unless one is not as long as the grid or holds a NaN: ``repr``
-    writes a NaN of either sign as ``nan``, which parses as positive."""
+    A column that is neither one number nor as long as the grid is a
+    :class:`ParameterError`, and nothing is written.  With ``keep``, the
+    columns are kept for the next read of the same text, unless one holds
+    a NaN: ``repr`` writes a NaN of either sign as ``nan``, which parses
+    as positive."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     n = len(columns[0])
     values, cells = [], []
-    for column, (_, kind) in zip(columns, table):
+    for column, (name, kind) in zip(columns, table):
         column = np.asarray(column, dtype=kind)
         if column.ndim:
+            if len(column) != n:
+                raise ParameterError(f"{path}: column '{name}' has {len(column)} values, "
+                                     f"but the grid has {n}")
             values.append(column.tolist())
             cells.append(map(repr, values[-1]))
-            keep = keep and len(column) == n
         else:
             values.append([column.item()] * n)
             cells.append(repeat(repr(column.item())))
     cells[0] = _grid_cells(np.asarray(columns[0], dtype=float).tobytes())
     header = ",".join(name for name, _ in table)
     text = "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     if sidecar is not None:
         _write_json(sidecar_path(path), sidecar)
@@ -164,12 +168,20 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
-def _read_json(path: Path) -> dict:
+def _read_text(path: Path) -> str:
+    """The text of the data file ``path``, which must be UTF-8."""
     try:
-        payload = json.loads(path.read_text())
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also covers undecodable bytes
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _read_json(path: Path) -> dict:
+    try:
+        payload = json.loads(_read_text(path))
+    except ValueError as exc:
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataFormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
@@ -263,10 +275,7 @@ def _read_columns(path: Path, columns) -> list[list]:
     length before its cells, so the error names the first bad line and
     cell.
     """
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     kept = _handoff.pop((columns, text), None)
     if kept is not None:
         return kept

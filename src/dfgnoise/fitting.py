@@ -124,25 +124,25 @@ class FitResult:
 
 
 def lsq_minimize(
-    residual: Callable[[np.ndarray], np.ndarray],
+    model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     initial: Sequence[float] | Sequence[Sequence[float]],
-    jacobian: Callable[[np.ndarray], np.ndarray],
+    *,
     names: Sequence[str],
 ) -> FitResult:
     """Minimize the sum of squared residuals with damped least squares.
 
-    ``residual`` maps a parameter vector to the vector of weighted
-    residuals; ``jacobian`` returns the (m, n) matrix of its partial
-    derivatives, and ``names`` names the n parameters.  The damping
-    parameter is adapted multiplicatively: large damping makes steps
-    gradient-descent-like, small damping Gauss-Newton-like.
+    ``model`` maps a parameter vector to its vector of m weighted
+    residuals and their Jacobian, the (m, n) matrix of partial
+    derivatives, from one evaluation; ``names`` names the n parameters.
+    The damping parameter is adapted multiplicatively: large damping
+    makes steps gradient-descent-like, small damping Gauss-Newton-like.
 
     ``initial`` is one start (n values) or a (k, n) array of starts.
     Several starts are descended one after the other, in order, and the
     one that ends at the lowest cost wins; on a tie the earlier start is
     kept.  ``n_iterations``, ``converged`` and ``message`` are the
-    winner's, and the final Jacobian and covariance are computed for the
-    winner only.
+    winner's, and the covariance is computed for the winner only, from
+    the Jacobian of its final point.
 
     Convergence is declared when the relative cost change drops below
     ``_FTOL`` or the step norm below ``_XTOL`` (relative to the parameter
@@ -160,13 +160,12 @@ def lsq_minimize(
 
     best = None
     for x0 in starts:
-        run = _descend(residual, jacobian, x0)
-        if best is None or run[2] < best[2]:  # final costs; a tie keeps the earlier
+        run = _descend(model, x0)
+        if best is None or run[3] < best[3]:  # final costs; a tie keeps the earlier
             best = run
-    x, r, cost, n_iter, converged, message, rank_deficient = best
+    x, r, jac, cost, n_iter, converged, message, rank_deficient = best
     m = len(r)
 
-    jac = np.asarray(jacobian(x), dtype=float)
     hess = jac.T @ jac
     if np.linalg.matrix_rank(hess) < n:
         rank_deficient = True
@@ -196,14 +195,20 @@ def lsq_minimize(
     )
 
 
-def _descend(residual, jacobian, x):
+def _evaluate(model, x):
+    """The residuals and Jacobian of ``model`` at ``x``, as float arrays."""
+    r, jac = model(x)
+    return np.asarray(r, dtype=float), np.asarray(jac, dtype=float)
+
+
+def _descend(model, x):
     """One Levenberg-Marquardt descent from ``x``.
 
-    Returns the final point, its residuals and cost, the iteration count,
-    the convergence flag and message, and whether a damped solve was
-    singular.
+    Returns the final point, its residuals, Jacobian and cost, the
+    iteration count, the convergence flag and message, and whether a
+    damped solve was singular.
     """
-    r = np.asarray(residual(x), dtype=float)
+    r, jac = _evaluate(model, x)
     if not np.isfinite(r).all():
         raise FitFailureError("residuals are not finite at the initial point")
     cost = float(r @ r)
@@ -215,7 +220,6 @@ def _descend(residual, jacobian, x):
     n_iter = 0
 
     for n_iter in range(1, _MAX_ITER + 1):
-        jac = np.asarray(jacobian(x), dtype=float)
         hess = jac.T @ jac
         neg_grad = -(jac.T @ r)
         diag = hess.diagonal()
@@ -230,7 +234,7 @@ def _descend(residual, jacobian, x):
                 rank_deficient = True
                 step = np.linalg.lstsq(hess + np.diag(damp), neg_grad, rcond=None)[0]
             x_try = x + step
-            r_try = np.asarray(residual(x_try), dtype=float)
+            r_try, jac_try = _evaluate(model, x_try)
             if np.isfinite(r_try).all():
                 cost_try = float(r_try @ r_try)
                 if cost_try < cost:
@@ -243,7 +247,7 @@ def _descend(residual, jacobian, x):
             message = "no further cost reduction possible"
             break
 
-        x, r = x_try, r_try
+        x, r, jac = x_try, r_try, jac_try
         prev_cost, cost = cost, cost_try
         lam = max(lam / 9.0, 1e-12)
 
@@ -259,7 +263,7 @@ def _descend(residual, jacobian, x):
             converged = True
             message = "step norm below xtol"
             break
-    return x, r, cost, n_iter, converged, message, rank_deficient
+    return x, r, jac, cost, n_iter, converged, message, rank_deficient
 
 
 def _logit(p):
@@ -269,12 +273,6 @@ def _logit(p):
 def _sigmoid(u):
     # the clamp keeps math.exp finite: far below -709 the result is ~1e-308
     return 1.0 / (1.0 + math.exp(min(-u, 709.0)))
-
-
-def _eta_model(p, eta_max, eta_n, length_cm):
-    """sin^2 model alone: the first output of :func:`_eta_model_and_grads`."""
-    s = np.sin(length_cm * np.sqrt(eta_n * p))
-    return eta_max * s * s
 
 
 def _eta_model_and_grads(p, eta_max, eta_n, length_cm):
@@ -332,19 +330,15 @@ def fit_efficiency_shared(
     n_int = len(sweep_int)
     is_int = np.arange(len(p)) < n_int
 
-    def residual(u):
+    def model(u):
         eta_max = np.where(is_int, _sigmoid(u[0]), _sigmoid(u[1]))
-        return (y - _eta_model(p, eta_max, np.exp(u[2]), length_cm)) / sigma
-
-    def jac(u):
-        eta_max = np.where(is_int, _sigmoid(u[0]), _sigmoid(u[1]))
-        _, d_logit, d_log = _eta_model_and_grads(p, eta_max, np.exp(u[2]), length_cm)
+        eta, d_logit, d_log = _eta_model_and_grads(p, eta_max, np.exp(u[2]), length_cm)
         d_logit = -d_logit / sigma
-        out = np.zeros((len(p), 3))
-        out[:n_int, 0] = d_logit[:n_int]
-        out[n_int:, 1] = d_logit[n_int:]
-        out[:, 2] = -d_log / sigma
-        return out
+        jac = np.zeros((len(p), 3))
+        jac[:n_int, 0] = d_logit[:n_int]
+        jac[n_int:, 1] = d_logit[n_int:]
+        jac[:, 2] = -d_log / sigma
+        return (y - eta) / sigma, jac
 
     # the sin^2 model has secondary cost basins when eta_n starts far off;
     # start from a small ladder of eta_n rescalings, the best one wins
@@ -353,8 +347,7 @@ def fit_efficiency_shared(
     en_start = np.sqrt(en_int * en_ext)
     starts = [[_logit(g_int), _logit(g_ext), np.log(max(en_start * factor, 1e-12))]
               for factor in (1.0, 0.25, 4.0)]
-    raw = lsq_minimize(residual, starts, jacobian=jac,
-                       names=["u_int", "u_ext", "log_eta_n"])
+    raw = lsq_minimize(model, starts, names=["u_int", "u_ext", "log_eta_n"])
 
     u = raw.as_vector()
     theta = np.array([_sigmoid(u[0]), _sigmoid(u[1]), np.exp(u[2])])

@@ -285,28 +285,17 @@ def fit_gaussian_feature(
 
     def model(theta):
         c, w, a, b = theta
-        return b + a * np.exp(-ln16 * ((x - c) / w) ** 2)
-
-    def residual(theta):
-        return y - model(theta)
-
-    def jacobian(theta):
-        c, w, a, b = theta
         u = (x - c) / w
-        g = np.exp(-ln16 * u * u)
-        out = np.empty((len(x), 4))
-        out[:, 0] = -a * g * 2.0 * ln16 * u / w
-        out[:, 1] = -a * g * 2.0 * ln16 * u * u / w
-        out[:, 2] = -g
-        out[:, 3] = -1.0
-        return out
+        g = gaussian_profile(x, c, w)
+        jac = np.empty((len(x), 4))
+        jac[:, 0] = -a * g * 2.0 * ln16 * u / w
+        jac[:, 1] = -a * g * 2.0 * ln16 * u * u / w
+        jac[:, 2] = -g
+        jac[:, 3] = -1.0
+        return y - (b + a * g), jac
 
-    result = lsq_minimize(
-        residual,
-        [center0, fwhm0, amp0, baseline0],
-        jacobian=jacobian,
-        names=["center_nm", "fwhm_nm", "amplitude_hz", "baseline_hz"],
-    )
+    result = lsq_minimize(model, [center0, fwhm0, amp0, baseline0],
+                          names=["center_nm", "fwhm_nm", "amplitude_hz", "baseline_hz"])
     if not result.converged:
         raise FitFailureError(
             f"gaussian feature fit did not converge: {result.message} "

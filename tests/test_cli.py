@@ -686,6 +686,24 @@ def test_fit_input_errors_name_the_file(outdir, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_undecodable_data_files_are_data_errors(outdir, capsys):
+    # a byte that is not UTF-8 at the end of an efficiency sweep and of a counts file
+    assert run("simulate", "efficiency", "--out", str(outdir)) == 0
+    assert run("simulate", "power-sweep", "--kind", "noise_tele_detuned", "--out",
+               str(outdir)) == 0
+    capsys.readouterr()
+    internal, counts = outdir / "efficiency_int.csv", outdir / "sweep_noise_tele_detuned.csv"
+    for path in (internal, counts):
+        path.write_bytes(path.read_bytes() + b"\xff")
+    cases = [(["fit", "efficiency", "--internal", str(internal),
+               "--external", str(outdir / "efficiency_ext.csv")], internal),
+             (["fit", "noise", "--detuned", str(counts)], counts)]
+    for argv, path in cases:
+        assert run(*argv, "--out", str(outdir / "fit")) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not UTF-8 text: ") and err.count("\n") == 1
+
+
 # ----------------------------------------------------------- validate-config
 
 def test_validate_config_ok(tmp_path):
@@ -699,6 +717,20 @@ def test_validate_config_bad_key(tmp_path, capsys):
         "eta_max_int", "eta_max_internal"))
     assert run("validate-config", "--config", str(path)) == cli.EXIT_DATA
     assert "eta_max_internal" in capsys.readouterr().err
+
+
+def test_undecodable_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_bytes(write_template(tmp_path / "base.yaml").read_bytes() + b"# \xff\n")
+    assert run("validate-config", "--config", str(path)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path} is not UTF-8 text: ")
+    assert err.count("\n") == 1
+    # and still without numpy
+    probe = ("from dfgnoise import cli; code = cli.main(sys.argv[2:]); "
+             "print(code, 'numpy' in sys.modules)")
+    out = _fresh_process(probe, "validate-config", "--config", str(path))
+    assert out.splitlines()[-1] == f"{cli.EXIT_DATA} False"
 
 
 def test_validate_config_rejects_sweeps_too_short_to_fit(tmp_path, capsys):

@@ -132,6 +132,20 @@ def test_a_signed_zero_grid_is_its_own_grid(kind, data):
                 assert path.read_text().splitlines()[1].startswith(repr(first) + ",")
 
 
+def test_a_column_not_as_long_as_the_grid_writes_nothing(tmp_path):
+    # a grid shorter or longer than the counts would drop rows of one or
+    # the other; a column of one number, the duration, fills every row
+    counts = SweepCounts(np.array([5, 6, 7, 8, 9]), 10.0, np.arange(5, dtype=np.uint32))
+    path = tmp_path / "out" / "counts.csv"
+    for n in (3, 7):
+        with pytest.raises(ParameterError, match=f"column 'counts' has 5 values, but the "
+                                                 f"grid has {n}"):
+            dataio.write_counts_csv(np.linspace(0.0, 0.4, n), counts, path)
+    assert not path.parent.exists()
+    dataio.write_counts_csv(np.linspace(0.0, 0.4, 5), counts, path)
+    assert [line.split(",")[2] for line in path.read_text().splitlines()[1:]] == ["10.0"] * 5
+
+
 def test_grid_memo_keeps_only_the_last_grids(tmp_path):
     dataio._grid_cells.cache_clear()
     grids = [np.linspace(0.0, 0.1 * k, 7) for k in range(1, 7)]

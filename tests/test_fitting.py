@@ -34,15 +34,10 @@ def _efficiency_sweeps(noise_rel=0.0, rng=None, n=15):
 
 # ------------------------------------------------------------- lsq engine
 
-def _bent_valley():
+def _bent_valley(x):
     # classic curved-valley test problem with minimum at (1, 1)
-    def residual(x):
-        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-
-    def jac(x):
-        return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-
-    return residual, jac
+    return (np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+            np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
 
 
 @pytest.mark.parametrize("pump, value, sigma, row, rule", [
@@ -64,16 +59,14 @@ def test_power_sweep_names_bad_row_and_column(pump, value, sigma, row, rule):
 
 def test_linear_model_exact():
     x = np.linspace(0.0, 1.0, 7)
-    result = lsq_minimize(lambda a: 3.0 * x - a[0] * x, [0.4],
-                          jacobian=lambda a: -x[:, None], names=["a"])
+    result = lsq_minimize(lambda a: (3.0 * x - a[0] * x, -x[:, None]), [0.4], names=["a"])
     assert result.values["a"] == pytest.approx(3.0, abs=1e-14)
     assert result.converged
     assert result.n_iterations <= 5
 
 
 def test_bent_valley_converges():
-    residual, jac = _bent_valley()
-    result = lsq_minimize(residual, [-1.2, 1.0], jacobian=jac, names=["a", "b"])
+    result = lsq_minimize(_bent_valley, [-1.2, 1.0], names=["a", "b"])
     assert result.converged
     assert result.values["a"] == pytest.approx(1.0, abs=1e-6)
     assert result.values["b"] == pytest.approx(1.0, abs=1e-6)
@@ -83,17 +76,30 @@ def test_nonfinite_initial_residuals_rejected():
     from dfgnoise.errors import FitFailureError
 
     with pytest.raises(FitFailureError):
-        lsq_minimize(lambda x: np.array([np.nan]), [1.0],
-                     jacobian=lambda x: np.zeros((1, 1)), names=["a"])
+        lsq_minimize(lambda x: (np.array([np.nan]), np.zeros((1, 1))), [1.0], names=["a"])
 
 
 def test_iteration_cap_reports_best_point(monkeypatch):
-    residual, jac = _bent_valley()
     monkeypatch.setattr(fitting, "_MAX_ITER", 2)
-    result = lsq_minimize(residual, [-1.2, 1.0], jacobian=jac, names=["a", "b"])
+    result = lsq_minimize(_bent_valley, [-1.2, 1.0], names=["a", "b"])
     assert not result.converged
     assert "cap" in result.message
     assert np.isfinite(result.as_vector()).all()
+
+
+def test_each_point_is_evaluated_once():
+    # an accepted step's Jacobian, and the winner's, come with its residuals
+    points = []
+
+    def model(x):
+        points.append(tuple(x))
+        return _bent_valley(x)
+
+    result = lsq_minimize(model, [-1.2, 1.0], names=["a", "b"])
+    assert result.converged and result.n_iterations > 5
+    assert len(points) == len(set(points))
+    with pytest.raises(TypeError):  # one calling convention: names by keyword
+        lsq_minimize(_bent_valley, [-1.2, 1.0], ["a", "b"])
 
 
 def test_rank_deficient_model_flagged():
@@ -101,8 +107,8 @@ def test_rank_deficient_model_flagged():
     x = np.linspace(0, 1, 9)
     y = 2.0 * x
 
-    result = lsq_minimize(lambda a: y - (a[0] + a[1]) * x, [0.3, 0.3],
-                          jacobian=lambda a: np.column_stack([-x, -x]), names=["a", "b"])
+    result = lsq_minimize(lambda a: (y - (a[0] + a[1]) * x, np.column_stack([-x, -x])),
+                          [0.3, 0.3], names=["a", "b"])
     assert "rank-deficient" in result.message
     assert result.values["a"] + result.values["b"] == pytest.approx(2.0, abs=1e-10)
 
@@ -198,11 +204,11 @@ def test_fit_independent_of_point_order():
     perm = rng.permutation(20)
 
     def fit(xs, ys):
-        return lsq_minimize(
-            lambda a: ys - a[0] * np.exp(a[1] * xs), [1.0, 1.0],
-            jacobian=lambda a: np.column_stack([-np.exp(a[1] * xs),
-                                                -a[0] * xs * np.exp(a[1] * xs)]),
-            names=["a", "b"])
+        def model(a):
+            e = np.exp(a[1] * xs)
+            return ys - a[0] * e, np.column_stack([-e, -a[0] * xs * e])
+
+        return lsq_minimize(model, [1.0, 1.0], names=["a", "b"])
 
     direct = fit(x, y)
     shuffled = fit(x[perm], y[perm])
@@ -341,8 +347,8 @@ def test_power_sweep_rejects_non_finite(column, bad):
 
 # ------------------------------------------------------- several starts
 
-def _cost(residual, result):
-    r = residual(result.as_vector())
+def _cost(model, result):
+    r = model(result.as_vector())[0]
     return float(r @ r)
 
 
@@ -361,40 +367,38 @@ def _exp_problem():
     x = np.linspace(0.1, 1.0, 12)
     y = 0.5 * np.exp(1.3 * x) + 0.01 * np.sin(7.0 * x)
 
-    def residual(a):
-        return y - a[0] * np.exp(a[1] * x)
+    def model(a):
+        e = np.exp(a[1] * x)
+        return y - a[0] * e, np.column_stack([-e, -a[0] * x * e])
 
-    def jac(a):
-        return np.column_stack([-np.exp(a[1] * x), -a[0] * x * np.exp(a[1] * x)])
-
-    return residual, jac, [[1.0, 1.0], [0.1, 3.0], [2.0, -1.0], [0.5, 1.3]]
+    return model, [[1.0, 1.0], [0.1, 3.0], [2.0, -1.0], [0.5, 1.3]]
 
 
 def _rank_deficient_problem():
     x = np.linspace(0, 1, 9)
-    return ((lambda a: 2.0 * x - (a[0] + a[1]) * x), (lambda a: np.column_stack([-x, -x])),
+    return (lambda a: (2.0 * x - (a[0] + a[1]) * x, np.column_stack([-x, -x])),
             [[0.3, 0.3], [5.0, -1.0]])
 
 
-def _forward_difference(residual):
-    """An approximate Jacobian of ``residual``, by forward differences."""
-    def jac(a):
-        r0 = residual(a)
+def _forward_difference(model):
+    """``model`` with its Jacobian approximated by forward differences."""
+    def approximate(a):
+        r0 = model(a)[0]
         steps = 1e-7 * np.maximum(1.0, np.abs(a))
-        return np.column_stack([(residual(a + h * e) - r0) / h
-                                for h, e in zip(steps, np.eye(len(a)))])
-    return jac
+        return r0, np.column_stack([(model(a + h * e)[0] - r0) / h
+                                    for h, e in zip(steps, np.eye(len(a)))])
+    return approximate
 
 
 @pytest.mark.parametrize("problem", [_exp_problem, _rank_deficient_problem])
 @pytest.mark.parametrize("analytic", [True, False])
 def test_several_starts_match_the_best_single_start(problem, analytic):
     # the winner is picked on final cost, with an exact Jacobian or not
-    residual, jac, starts = problem()
-    jac = jac if analytic else _forward_difference(residual)
-    singles = [lsq_minimize(residual, s, jacobian=jac, names=["a", "b"]) for s in starts]
-    best = singles[int(np.argmin([_cost(residual, s) for s in singles]))]
-    ladder = lsq_minimize(residual, np.array(starts), jacobian=jac, names=["a", "b"])
+    model, starts = problem()
+    model = model if analytic else _forward_difference(model)
+    singles = [lsq_minimize(model, s, names=["a", "b"]) for s in starts]
+    best = singles[int(np.argmin([_cost(model, s) for s in singles]))]
+    ladder = lsq_minimize(model, np.array(starts), names=["a", "b"])
     _assert_same_fit(ladder, best)
     if problem is _rank_deficient_problem:
         assert "rank-deficient" in ladder.message
@@ -403,15 +407,14 @@ def test_several_starts_match_the_best_single_start(problem, analytic):
 def test_several_starts_tie_keeps_the_earlier_start():
     # a mirror-symmetric cost: starts at +2 and -2 end at +1 and -1 with
     # bit-equal costs, so only the order of the starts decides
-    def residual(a):
-        return np.array([a[0] * a[0] - 1.0])
+    def model(a):
+        return np.array([a[0] * a[0] - 1.0]), np.array([[2.0 * a[0]]])
 
     def fit(starts):
-        return lsq_minimize(residual, starts, jacobian=lambda a: np.array([[2.0 * a[0]]]),
-                            names=["a"])
+        return lsq_minimize(model, starts, names=["a"])
 
     up, down = fit([2.0]), fit([-2.0])
-    assert _cost(residual, up) == _cost(residual, down)
+    assert _cost(model, up) == _cost(model, down)
     assert up.values["a"] == -down.values["a"] > 0.0
     _assert_same_fit(fit([[2.0], [-2.0]]), up)
     _assert_same_fit(fit([[-2.0], [2.0]]), down)
@@ -420,8 +423,7 @@ def test_several_starts_tie_keeps_the_earlier_start():
 def test_several_starts_reject_a_bad_shape():
     for starts in (np.zeros((2, 2, 2)), np.zeros((0, 2))):
         with pytest.raises(ParameterError, match="starts"):
-            lsq_minimize(lambda a: a, starts, jacobian=lambda a: np.eye(len(a)),
-                         names=["a", "b"])
+            lsq_minimize(lambda a: (a, np.eye(len(a))), starts, names=["a", "b"])
 
 
 def _efficiency_ladder_reference(sweep_int, sweep_ext, length_cm, start=None):
@@ -439,22 +441,16 @@ def _efficiency_ladder_reference(sweep_int, sweep_ext, length_cm, start=None):
     p_i, y_i, s_i = sweep_int.pump_w, sweep_int.value, sweep_int.sigma
     p_e, y_e, s_e = sweep_ext.pump_w, sweep_ext.value, sweep_ext.sigma
 
-    def residual(u):
+    def model(u):
         a_i, a_e, eta_n = _sigmoid(u[0]), _sigmoid(u[1]), np.exp(u[2])
-        m_i, _, _ = _eta_model_and_grads(p_i, a_i, eta_n, length_cm)
-        m_e, _, _ = _eta_model_and_grads(p_e, a_e, eta_n, length_cm)
-        return np.concatenate([(y_i - m_i) / s_i, (y_e - m_e) / s_e])
-
-    def jac(u):
-        a_i, a_e, eta_n = _sigmoid(u[0]), _sigmoid(u[1]), np.exp(u[2])
-        _, di_logit, di_log = _eta_model_and_grads(p_i, a_i, eta_n, length_cm)
-        _, de_logit, de_log = _eta_model_and_grads(p_e, a_e, eta_n, length_cm)
-        out = np.zeros((len(p_i) + len(p_e), 3))
-        out[: len(p_i), 0] = -di_logit / s_i
-        out[: len(p_i), 2] = -di_log / s_i
-        out[len(p_i):, 1] = -de_logit / s_e
-        out[len(p_i):, 2] = -de_log / s_e
-        return out
+        m_i, di_logit, di_log = _eta_model_and_grads(p_i, a_i, eta_n, length_cm)
+        m_e, de_logit, de_log = _eta_model_and_grads(p_e, a_e, eta_n, length_cm)
+        jac = np.zeros((len(p_i) + len(p_e), 3))
+        jac[: len(p_i), 0] = -di_logit / s_i
+        jac[: len(p_i), 2] = -di_log / s_i
+        jac[len(p_i):, 1] = -de_logit / s_e
+        jac[len(p_i):, 2] = -de_log / s_e
+        return np.concatenate([(y_i - m_i) / s_i, (y_e - m_e) / s_e]), jac
 
     raw, winner = None, None
     for i, factor in enumerate((1.0, 0.25, 4.0)):
@@ -463,9 +459,8 @@ def _efficiency_ladder_reference(sweep_int, sweep_ext, length_cm, start=None):
             _logit(np.clip(start[1], 1e-3, 1 - 1e-3)),
             np.log(max(start[2] * factor, 1e-12)),
         ])
-        candidate = lsq_minimize(residual, u0, jacobian=jac,
-                                 names=["u_int", "u_ext", "log_eta_n"])
-        cand_cost = _cost(residual, candidate)
+        candidate = lsq_minimize(model, u0, names=["u_int", "u_ext", "log_eta_n"])
+        cand_cost = _cost(model, candidate)
         if raw is None or cand_cost < best_cost:
             raw, best_cost, winner = candidate, cand_cost, i
 
@@ -498,7 +493,7 @@ def test_shared_fit_matches_the_three_call_ladder():
 
 
 def test_eta_model_is_elementwise_in_eta_max():
-    from dfgnoise.fitting import _eta_model, _eta_model_and_grads
+    from dfgnoise.fitting import _eta_model_and_grads
 
     p = np.linspace(0.02, 0.44, 9)
     eta_max = np.where(np.arange(9) < 4, 0.67, 0.46)
@@ -507,4 +502,3 @@ def test_eta_model_is_elementwise_in_eta_max():
         single = _eta_model_and_grads(p[a], b, 0.63, 4.0)
         for s, out in zip(single, stacked):
             assert s.tobytes() == out[a].tobytes()
-    assert _eta_model(p, eta_max, 0.63, 4.0).tobytes() == stacked[0].tobytes()

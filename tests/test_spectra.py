@@ -16,6 +16,7 @@ from dfgnoise.errors import (
     ParameterError,
     ResolutionError,
 )
+from dfgnoise.fitting import lsq_minimize
 from dfgnoise.params import (
     FilterProfile,
     SfgMode,
@@ -338,6 +339,40 @@ def test_a_mode_of_zero_strength_is_missing(tmp_path, seed):
     found = _template_features(cfg, seed, tmp_path)
     assert {key for key, significant in found.items() if significant} == {
         (label, kind) for label in ("TEM00", "TEM02") for kind in ("dip", "peak")}
+
+
+@pytest.mark.parametrize("kind", ["dip", "peak"])
+def test_gaussian_model_jacobian_matches_central_differences(tmp_path, monkeypatch, kind):
+    # the model fit_gaussian_feature hands to lsq_minimize, at its start
+    # and at its optimum, in the TEM00 dip or peak window of a template scan
+    cfg = default_config()
+    mode = cfg.modes[0]
+    if kind == "dip":
+        scan, _ = dataio.read_scan_csv(pipelines.simulate_telecom_spectrum(cfg, 1, tmp_path))
+        window = (mode.lambda_tele_nm - 1.5, mode.lambda_tele_nm + 1.5)
+    else:
+        scan, _ = dataio.read_scan_csv(
+            pipelines.simulate_visible_spectrum(cfg, 1, tmp_path, collection="mmf"))
+        window = (mode.lambda_vis_nm - 0.35, mode.lambda_vis_nm + 0.35)
+    calls = []
+
+    def capture(model, initial, **kwargs):
+        calls.append((model, np.array(initial, dtype=float)))
+        return lsq_minimize(model, initial, **kwargs)
+
+    monkeypatch.setattr(spectra, "lsq_minimize", capture)
+    feature = spectra.fit_gaussian_feature(scan, window, kind)
+    assert feature.significant
+    [(model, start)] = calls
+    for theta in (start, feature.fit.as_vector()):
+        _, jac = model(theta)
+        # steps on each parameter's own scale: the width, or the amplitude
+        for j, h in enumerate(1e-4 * np.abs(theta[[1, 1, 2, 2]])):
+            up, dn = theta.copy(), theta.copy()
+            up[j] += h
+            dn[j] -= h
+            fd = (model(up)[0] - model(dn)[0]) / (2 * h)
+            assert np.allclose(jac[:, j], fd, rtol=1e-5, atol=1e-6 * np.abs(jac[:, j]).max())
 
 
 def test_fit_gaussian_feature_window_too_small():

@@ -216,11 +216,6 @@ def test_tables_that_do_not_read_back_as_written_are_not_kept(tmp_path):
         np.array([0.1]), np.array([-np.nan]), np.array([1.0]), "noise_vis")
     dataio.write_sweep_csv(nan, tmp_path / "nan.csv")
     assert (tmp_path / "nan.csv").read_text().splitlines()[1] == "0.1,nan,1.0"
-    # rows stop at the shortest column
-    counts = SweepCounts(np.array([5, 6]), 10.0, np.array([11, 12], dtype=np.uint32))
-    for pump_w in ([0.1, 0.2, 0.3], [0.1]):
-        path = dataio.write_counts_csv(np.array(pump_w), counts, tmp_path / "counts.csv")
-        assert len(path.read_text().splitlines()) == 1 + min(len(pump_w), 2)
     # no reader reads a residual table
     result = FitResult(names=["a"], values={"a": 1.0}, sigmas={"a": 0.1},
                        covariance=np.array([[0.01]]), chi2_reduced=1.0, n_iterations=1,
