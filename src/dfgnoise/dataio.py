@@ -7,6 +7,10 @@ byte.  Units are part of the header names (nm, W, Hz, s).  Each table's
 columns, their names and types, are declared once, for its writer's
 header and its reader's parse.
 
+A table is parsed one way: ``csv.reader`` splits it, so quoted cells
+read, and each column converts whole.  Only a file whose rows or cells
+do not fit is walked row by row, to name its first bad line.
+
 Two things are kept per process, and no output depends on either:
 
 - the cells of a grid column.  Every table's first column is a grid
@@ -14,14 +18,15 @@ Two things are kept per process, and no output depends on either:
   so its cells are formatted once and kept for the last few distinct
   grids; the key is the grid's float64 bytes, so 0.0 and -0.0 are
   different grids.  The other columns are formatted on every write.
-- the columns of the last few scan, sweep and counts tables written, as
-  the reader returns them, keyed by the table's declaration and the
-  exact text written.  The next read of a file that holds that text
-  takes them instead of parsing it, and drops them; a second read
-  parses.  ``repr`` round-trips every value but a NaN's sign, so a table
-  that holds a NaN is not kept.  The file and its sidecar are still
-  read and every row rule still runs, so a file changed after it was
-  written reads, and fails, as a fresh process reads it.
+- the columns of the last few tables written that have a reader (scan,
+  sweep and counts), as the reader returns them, keyed by the table's
+  declaration and the exact text written.  The next read of a file that
+  holds that text takes them instead of parsing it, and drops them; a
+  second read parses.  ``repr`` round-trips every value but a NaN's
+  sign, so a table that holds a NaN is not kept.  The file and its
+  sidecar are still read and every row rule still runs, so a file
+  changed after it was written reads, and fails, as a fresh process
+  reads it.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ _SWEEP = (("pump_w", float), ("value", float), ("sigma", float))
 _COUNTS = (("pump_w", float), ("counts", int), ("duration_s", float), ("seed", int))
 _RESIDUALS = (("pump_w", float), ("value", float), ("model", float), ("residual", float),
               ("sigma", float))
+# the tables that have a reader; only theirs are kept for it
+_READ = (_SCAN, _SWEEP, _COUNTS)
 
 # distinct grids whose cells are kept per process
 _GRID_CELLS_KEPT = 4
@@ -89,18 +96,17 @@ _TABLES_KEPT = 6
 _handoff: dict[tuple, list[list]] = {}
 
 
-def _write_table(path: str | Path, table, columns, sidecar: dict | None = None,
-                 keep: bool = True) -> Path:
+def _write_table(path: str | Path, table, columns, sidecar: dict | None = None) -> Path:
     """Write a CSV with the header of ``table`` and one row per point of
     the first of ``columns``, a float grid: the ``repr`` of each value as
     a Python number of its column's type, where a column of one number
     holds it in every row; plus the JSON ``sidecar`` when one is given.
 
     A column that is neither one number nor as long as the grid is a
-    :class:`ParameterError`, and nothing is written.  With ``keep``, the
-    columns are kept for the next read of the same text, unless one holds
-    a NaN: ``repr`` writes a NaN of either sign as ``nan``, which parses
-    as positive."""
+    :class:`ParameterError`, and nothing is written.  The columns of a
+    table that has a reader are kept for the next read of the same text,
+    unless one holds a NaN: ``repr`` writes a NaN of either sign as
+    ``nan``, which parses as positive."""
     path = Path(path)
     n = len(columns[0])
     values, cells = [], []
@@ -122,7 +128,7 @@ def _write_table(path: str | Path, table, columns, sidecar: dict | None = None,
     path.write_text(text)
     if sidecar is not None:
         _write_json(sidecar_path(path), sidecar)
-    if keep and "nan" not in text:  # no NaN cell, as no header holds "nan"
+    if table in _READ and "nan" not in text:  # no NaN cell, as no header holds "nan"
         key = (table, text)
         _handoff.pop(key, None)  # a table written again is the newest
         _handoff[key] = values
@@ -224,8 +230,11 @@ def sidecar_number(path: Path, meta: dict, key: str, default: float) -> float:
 
 
 def _check_row(row: list[str], columns, path: Path, line_no: int) -> None:
-    """Raise the error of the first cell of ``row``, in column order, that
-    does not convert; the integer cells are checked together, as one rule."""
+    """Raise the error of ``row`` if it is not as long as ``columns``, else
+    that of its first cell, in column order, that does not convert; the
+    integer cells are checked together, as one rule."""
+    if len(row) != len(columns):
+        raise DataFormatError(f"{path}:{line_no}: expected {len(columns)} columns, got {len(row)}")
     int_cells = [cell for (_, kind), cell in zip(columns, row) if kind is int]
     for (name, kind), cell in zip(columns, row):
         if kind is float:
@@ -242,46 +251,22 @@ def _check_row(row: list[str], columns, path: Path, line_no: int) -> None:
             raise DataFormatError(f"{path}:{line_no}: {names} must be integers") from None
 
 
-def _split_columns(text: str, columns) -> list[list] | None:
-    """The columns of the CSV ``text`` as :func:`_read_columns` returns
-    them, split with ``str.split``; None when ``csv.reader`` might split
-    the text otherwise or it holds an error to name: a wrong header, no
-    data line, a line without one comma fewer than ``columns`` (a blank
-    one too), a line over csv's field size limit or a cell that does not
-    convert.  A quote needs no check: a cell that holds one never
-    converts."""
-    lines = text.splitlines()
-    k = len(columns)
-    if (len(lines) < 2 or lines[0] != ",".join(name for name, _ in columns)
-            or set(map(str.count, lines, repeat(","))) != {k - 1}
-            or max(map(len, lines)) >= csv.field_size_limit()):
-        return None
-    cells = ",".join(lines[1:]).split(",")
-    try:
-        return [list(map(kind, cells[j::k])) for j, (_, kind) in enumerate(columns)]
-    except ValueError:
-        return None
-
-
 def _read_columns(path: Path, columns) -> list[list]:
     """The columns of a CSV with the header and types of ``columns``, a
     table's declaration of (name, ``float`` or ``int``), each converted
     whole to a list of Python numbers.
 
     A file that holds the text of a table whose columns a writer of this
-    process kept takes those columns, once.  A plain file is split by
-    :func:`_split_columns`.  Any other is split by ``csv.reader`` once,
-    so quoted cells parse, and its rows are walked in order, each row's
-    length before its cells, so the error names the first bad line and
-    cell.
+    process kept takes those columns, once.  Any other is split by
+    ``csv.reader``, so quoted cells parse, and once its header and the
+    length of every row check, each column converts whole.  Only when a
+    length or a conversion fails are its rows walked in order, by
+    :func:`_check_row`, so the error names the first bad line and cell.
     """
     text = _read_text(path)
     kept = _handoff.pop((columns, text), None)
     if kept is not None:
         return kept
-    split = _split_columns(text, columns)
-    if split is not None:
-        return split
     reader = csv.reader(text.splitlines())
     try:
         rows = list(reader)
@@ -295,13 +280,15 @@ def _read_columns(path: Path, columns) -> list[list]:
             f"{path}:1: expected header {','.join(header)!r}, got {','.join(rows[0])!r}"
         )
     body = rows[1:]
+    if set(map(len, body)) <= {len(header)}:
+        try:
+            return [list(map(kind, map(itemgetter(j), body)))
+                    for j, (_, kind) in enumerate(columns)]
+        except ValueError:
+            pass  # the walk below names the first bad line
     for line_no, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}"
-            )
         _check_row(row, columns, path, line_no)
-    return [list(map(kind, map(itemgetter(j), body))) for j, (_, kind) in enumerate(columns)]
+    raise AssertionError(f"{path}: a column did not convert, but each of its cells did")
 
 
 def _from_rows(path: Path, make, *args):
@@ -423,8 +410,7 @@ def write_fit(result: FitResult, path: str | Path, fit_name: str, inputs, residu
     path.parent.mkdir(parents=True, exist_ok=True)
     for tag, sweep, model in residuals:
         _write_table(path.parent / f"residuals_{tag}.csv", _RESIDUALS,
-                     [sweep.pump_w, sweep.value, model, sweep.value - model, sweep.sigma],
-                     keep=False)
+                     [sweep.pump_w, sweep.value, model, sweep.value - model, sweep.sigma])
     _write_json(path, {
         "fit": fit_name,
         "parameter_order": result.names,
@@ -457,12 +443,18 @@ def apply_efficiency_fit(params: ConverterParams, fit: dict) -> ConverterParams:
     The fit does not bound eta_max_ext by eta_max_int, so a device with
     lossless coupling may fit with eta_max_ext just above eta_max_int.
     eta_max_ext is capped at eta_max_int here, as :class:`ConverterParams`
-    requires; no noise model reads it."""
+    requires; no noise model reads it.  Values that it still rejects are
+    a :class:`DataFormatError` that shows them as the payload holds them."""
     fitted = _object("efficiency fit", fit, "parameters")
     values = {key: _number("efficiency fit", f"parameters.{key}", fitted.get(key, _MISSING))
               for key in _EFFICIENCY_PARAMETERS}
-    values["eta_max_ext"] = min(values["eta_max_ext"], values["eta_max_int"])
-    return replace(params, **values)
+    capped = min(values["eta_max_ext"], values["eta_max_int"])
+    try:
+        return replace(params, **{**values, "eta_max_ext": capped})
+    except ParameterError:
+        held = ", ".join(f"{key}={value!r}" for key, value in values.items())
+        raise DataFormatError(f"efficiency fit: {held} describe no converter: eta_max_int must "
+                              "lie in [0, 1], eta_max_ext and eta_n be non-negative") from None
 
 
 def efficiency_fit_covariance(fit: dict) -> np.ndarray:

@@ -404,6 +404,32 @@ def test_efficiency_fit_parameter_order_exit_code(outdir, order, capsys):
     assert not (outdir / "fit_noise.json").exists()
 
 
+@pytest.mark.parametrize("key, value", [("eta_max_int", 1.5), ("eta_max_int", -0.2),
+                                        ("eta_n", -0.1)])
+@pytest.mark.parametrize("command", ["fit-noise", "report"])
+def test_efficiency_fit_that_describes_no_converter_exit_code(outdir, command, key, value,
+                                                              capsys):
+    # eta_max_ext is capped at eta_max_int before the device is built; the
+    # message shows the values the file holds, not the capped ones
+    fitted = {"eta_max_int": 0.67, "eta_max_ext": 0.461, "eta_n": 0.63, key: value}
+    outdir.mkdir()
+    fit_path = outdir / "eff.json"
+    fit_path.write_text(json.dumps({
+        "parameter_order": ["eta_max_int", "eta_max_ext", "eta_n"], "parameters": fitted,
+        "covariance": [[1e-4, 0, 0], [0, 1e-4, 0], [0, 0, 4e-4]]}))
+    if command == "report":
+        code = run("report", "--efficiency-fit", str(fit_path), "--out", str(outdir))
+    else:
+        assert run("simulate", "power-sweep", "--kind", "noise_vis", "--out", str(outdir)) == 0
+        capsys.readouterr()
+        code = run("fit", "noise", "--visible", str(outdir / "sweep_noise_vis.csv"),
+                   "--efficiency-fit", str(fit_path), "--out", str(outdir))
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    held = ", ".join(f"{name}={number!r}" for name, number in fitted.items())
+    assert err.startswith(f"error: efficiency fit: {held} ") and err.count("\n") == 1
+
+
 def test_fit_nonconvergence_exit_code(outdir, monkeypatch):
     from dfgnoise import pipelines
     from dfgnoise.fitting import FitResult

@@ -179,10 +179,9 @@ def test_a_file_changed_after_writing_is_parsed(tmp_path, kind, edit, error):
 
 @pytest.fixture
 def parses(monkeypatch):
-    """The files that ``_split_columns`` was asked to split."""
-    split, seen = dataio._split_columns, []
-    monkeypatch.setattr(dataio, "_split_columns",
-                        lambda text, columns: seen.append(text) or split(text, columns))
+    """The lines of each file that the readers parsed with ``csv.reader``."""
+    reader, seen = dataio.csv.reader, []
+    monkeypatch.setattr(dataio.csv, "reader", lambda lines: seen.append(lines) or reader(lines))
     return seen
 
 
@@ -192,7 +191,7 @@ def test_a_second_read_parses(tmp_path, kind, parses):
     first = _read(kind, path)
     assert parses == []
     assert _read(kind, path) == first
-    assert parses == [path.read_text()]
+    assert parses == [path.read_text().splitlines()]
 
 
 def test_the_oldest_table_goes_first(tmp_path, parses):
@@ -205,7 +204,7 @@ def test_the_oldest_table_goes_first(tmp_path, parses):
     assert len(dataio._handoff) == dataio._TABLES_KEPT
     for k, path in enumerate(paths):
         assert np.array_equal(dataio.read_sweep_csv(path, "noise_vis").value, sweeps[k].value)
-    assert parses == [paths[1].read_text()]
+    assert parses == [paths[1].read_text().splitlines()]
     assert not dataio._handoff
 
 
