@@ -30,7 +30,6 @@ from .params import ConverterParams, sfg_partner_wavelength
 
 __all__ = [
     "ConverterParams",
-    "dfg_efficiency",
     "efficiency_curve",
     "peak_pump_power",
     "dip_depth",
@@ -38,7 +37,6 @@ __all__ = [
     "telecom_noise_rate",
     "telecom_noise_rate_quadrature",
     "visible_noise_rate",
-    "visible_noise_rate_lowpower",
     "sfg_partner_wavelength",
     "photons_per_mode",
     "rescale_alpha_to_bandwidth",
@@ -73,15 +71,6 @@ def efficiency_curve(pump_w, eta_max: float, eta_n: float, length_cm: float):
     p = _check_pump(pump_w)
     arg = length_cm * np.sqrt(eta_n * p)
     return _scalar_or_array(eta_max * np.sin(arg) ** 2)
-
-
-def dfg_efficiency(params: ConverterParams, pump_w, which: str = "internal"):
-    """DFG conversion efficiency at the given coupled pump power.
-
-    ``which`` selects the internal or external saturation efficiency; the
-    pump-power dependence is shared.  Result lies in [0, eta_max].
-    """
-    return efficiency_curve(pump_w, params.eta_max(which), params.eta_n, params.length_cm)
 
 
 def peak_pump_power(params: ConverterParams) -> float:
@@ -158,19 +147,6 @@ def visible_noise_rate(params: ConverterParams, pump_w):
     p = _check_pump(pump_w)
     base = params.alpha_n * p * params.length_cm
     return _scalar_or_array(base * dip_depth(params, p))
-
-
-def visible_noise_rate_lowpower(params: ConverterParams, pump_w):
-    """Quadratic low-power approximation of the visible noise rate,
-    (1/3) * alpha_n * eta_n * eta_max_int * L^3 * P^2.
-
-    Overestimates the exact rate by about x^2/20 with
-    x = 2L*sqrt(eta_n*P): below 2% for x <= 0.63, about 2.5% at x = 0.7.
-    """
-    p = _check_pump(pump_w)
-    rate = (params.alpha_n * params.eta_n * params.eta_max_int * params.length_cm**3
-            * p * p / 3.0)
-    return _scalar_or_array(rate)
 
 
 def photons_per_mode(alpha_n: float, bandwidth_hz: float) -> float:

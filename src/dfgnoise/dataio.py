@@ -45,7 +45,7 @@ import numpy as np
 from .converter import ConverterParams
 from .counting import SweepCounts
 from .errors import DataFormatError, ParameterError, RowError
-from .fitting import FitResult, PowerSweep, check_rows, pump_rules
+from .fitting import EFFICIENCY_PARAMETERS, FitResult, PowerSweep, check_rows, pump_rules
 from .spectra import _STEP_RTOL, SpectralScan
 
 __all__ = [
@@ -319,7 +319,7 @@ def read_scan_csv(path: str | Path) -> tuple[SpectralScan, dict]:
     :class:`SpectralScan` does, before the sidecar is read.  The
     sidecar's filter width and integration time must not be negative,
     and its step, unless 0, must be the grid's, as even as the grid's
-    own steps are.
+    own steps are; the scan's step is always the grid's.
     """
     path = Path(path)
     wl, rate = _read_columns(path, _SCAN)
@@ -331,11 +331,11 @@ def read_scan_csv(path: str | Path) -> tuple[SpectralScan, dict]:
             if value and abs(value - scan.step_nm) > _STEP_RTOL * scan.step_nm:
                 raise DataFormatError(f"{sidecar_path(path)}: step_nm is {value!r}, but the "
                                       f"grid's step is {scan.step_nm!r}")
-            value = value or scan.step_nm
         elif value < 0:
             raise DataFormatError(f"{sidecar_path(path)}: {key} must be non-negative, "
                                   f"got {value!r}")
-        setattr(scan, key, value)
+        else:
+            setattr(scan, key, value)
     return scan, meta
 
 
@@ -432,10 +432,6 @@ def read_fit_json(path: str | Path) -> dict:
     return _read_json(Path(path))
 
 
-# parameters of the shared efficiency fit, in its covariance order
-_EFFICIENCY_PARAMETERS = ["eta_max_int", "eta_max_ext", "eta_n"]
-
-
 def apply_efficiency_fit(params: ConverterParams, fit: dict) -> ConverterParams:
     """``params`` with the efficiencies and conversion parameter of a parsed
     efficiency-fit payload (see :func:`write_fit`) swapped in.
@@ -443,27 +439,29 @@ def apply_efficiency_fit(params: ConverterParams, fit: dict) -> ConverterParams:
     The fit does not bound eta_max_ext by eta_max_int, so a device with
     lossless coupling may fit with eta_max_ext just above eta_max_int.
     eta_max_ext is capped at eta_max_int here, as :class:`ConverterParams`
-    requires; no noise model reads it.  Values that it still rejects are
-    a :class:`DataFormatError` that shows them as the payload holds them."""
+    requires; no noise model reads it.  An eta_max_ext outside [0, 1], or
+    values that :class:`ConverterParams` still rejects, are a
+    :class:`DataFormatError` that shows them as the payload holds them."""
     fitted = _object("efficiency fit", fit, "parameters")
     values = {key: _number("efficiency fit", f"parameters.{key}", fitted.get(key, _MISSING))
-              for key in _EFFICIENCY_PARAMETERS}
-    capped = min(values["eta_max_ext"], values["eta_max_int"])
+              for key in EFFICIENCY_PARAMETERS}
+    ext = values["eta_max_ext"]
+    capped = min(ext, values["eta_max_int"]) if ext <= 1.0 else ext  # above 1 it is rejected
     try:
         return replace(params, **{**values, "eta_max_ext": capped})
     except ParameterError:
         held = ", ".join(f"{key}={value!r}" for key, value in values.items())
-        raise DataFormatError(f"efficiency fit: {held} describe no converter: eta_max_int must "
-                              "lie in [0, 1], eta_max_ext and eta_n be non-negative") from None
+        raise DataFormatError(f"efficiency fit: {held} describe no converter: eta_max_int and "
+                              "eta_max_ext must lie in [0, 1], eta_n be non-negative") from None
 
 
 def efficiency_fit_covariance(fit: dict) -> np.ndarray:
     """The 3x3 covariance of a parsed efficiency-fit payload, whose
     ``parameter_order`` must be (eta_max_int, eta_max_ext, eta_n)."""
     order = fit.get("parameter_order")
-    if order != _EFFICIENCY_PARAMETERS:
+    if order != list(EFFICIENCY_PARAMETERS):
         raise DataFormatError(
-            f"efficiency fit: parameter_order must be {', '.join(_EFFICIENCY_PARAMETERS)}, "
+            f"efficiency fit: parameter_order must be {', '.join(EFFICIENCY_PARAMETERS)}, "
             f"got {order!r}")
     rows = fit.get("covariance")
     if not (isinstance(rows, list) and len(rows) == 3
@@ -477,12 +475,16 @@ def fitted_values(fit: dict, label: str, keys) -> tuple[dict[str, float], dict[s
     """The fitted values of those ``keys`` that a parsed fit payload (see
     :func:`write_fit`, labelled ``label`` in messages) holds under
     ``parameters``, and their uncertainties; an absent or null sigma (a
-    non-finite one is written as null) maps to None."""
+    non-finite one is written as null) maps to None, and a negative one is
+    a :class:`DataFormatError`."""
     fitted = _object(label, fit, "parameters")
     values = {key: _number(label, f"parameters.{key}", fitted[key])
               for key in keys if key in fitted}
     sigmas = _object(label, fit, "sigmas")
-    return values, {
-        key: None if sigmas.get(key) is None else _number(label, f"sigmas.{key}", sigmas[key])
-        for key in values}
+    held = {key: None if sigmas.get(key) is None else _number(label, f"sigmas.{key}", sigmas[key])
+            for key in values}
+    for key, sigma in held.items():
+        if sigma is not None and sigma < 0:
+            raise DataFormatError(f"{label}: sigmas.{key} must be non-negative, got {sigma!r}")
+    return values, held
 

@@ -34,6 +34,7 @@ __all__ = [
     "pump_rules",
     "PowerSweep",
     "FitResult",
+    "EFFICIENCY_PARAMETERS",
     "NoiseCurves",
     "lsq_minimize",
     "fit_efficiency_shared",
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 SWEEP_KINDS = ("efficiency_int", "efficiency_ext") + NOISE_SWEEP_KINDS
+
+# the parameters of the shared efficiency fit, in its covariance order
+EFFICIENCY_PARAMETERS = ("eta_max_int", "eta_max_ext", "eta_n")
 
 _MAX_DAMPING = 1e14
 # iteration cap and convergence tolerances of lsq_minimize
@@ -104,20 +108,27 @@ class PowerSweep:
 class FitResult:
     """Outcome of a least-squares fit.
 
-    ``values`` and ``sigmas`` are keyed by parameter name; ``covariance``
-    follows the ordering of ``names``.  ``chi2_reduced`` is the weighted
-    sum of squares per degree of freedom.
+    ``values`` is keyed by parameter name; ``covariance`` follows the
+    ordering of ``names``, and :attr:`sigmas` is worked out from it.
+    ``chi2_reduced`` is the weighted sum of squares per degree of freedom.
     """
 
     names: list[str]
     values: dict[str, float]
-    sigmas: dict[str, float]
     covariance: np.ndarray
     chi2_reduced: float
     n_iterations: int
     converged: bool
     message: str
     n_points: int
+
+    @property
+    def sigmas(self) -> dict[str, float]:
+        """Each parameter's uncertainty, keyed by name: the square root of
+        its covariance diagonal entry, 0 where that entry is negative."""
+        with np.errstate(invalid="ignore"):
+            sig = np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
+        return {k: float(s) for k, s in zip(self.names, sig)}
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.values[n] for n in self.names])
@@ -179,13 +190,10 @@ def lsq_minimize(
     if rank_deficient:
         message += "; normal equations rank-deficient (covariance from pseudo-inverse)"
 
-    with np.errstate(invalid="ignore"):
-        sig = np.sqrt(np.maximum(np.diag(covariance), 0.0))
     chi2_red = cost / (m - n) if m > n else float("nan")
     return FitResult(
         names=names,
         values={k: float(v) for k, v in zip(names, x)},
-        sigmas={k: float(s) for k, s in zip(names, sig)},
         covariance=covariance,
         chi2_reduced=float(chi2_red),
         n_iterations=n_iter,
@@ -353,14 +361,12 @@ def fit_efficiency_shared(
     theta = np.array([_sigmoid(u[0]), _sigmoid(u[1]), np.exp(u[2])])
     # covariance through the coordinate change, diag Jacobian
     scale = np.array([theta[0] * (1 - theta[0]), theta[1] * (1 - theta[1]), theta[2]])
-    cov = raw.covariance * np.outer(scale, scale)
-    names = ["eta_max_int", "eta_max_ext", "eta_n"]
+    names = list(EFFICIENCY_PARAMETERS)
     return replace(
         raw,
         names=names,
         values=dict(zip(names, map(float, theta))),
-        sigmas=dict(zip(names, map(float, np.sqrt(np.maximum(np.diag(cov), 0.0))))),
-        covariance=cov,
+        covariance=raw.covariance * np.outer(scale, scale),
     )
 
 
@@ -379,7 +385,6 @@ def _weighted_proportional_fit(basis, y, sigma, name):
     return FitResult(
         names=[name],
         values={name: a},
-        sigmas={name: float(np.sqrt(var))},
         covariance=np.array([[var]]),
         chi2_reduced=float(res @ res / dof) if dof > 0 else float("nan"),
         n_iterations=1,
@@ -451,7 +456,6 @@ def fit_alpha_visible(
     var_shape = float(grad @ np.asarray(shape_covariance, dtype=float) @ grad)
     var_total = result.covariance[0, 0] + max(var_shape, 0.0)
     result.covariance = np.array([[var_total]])
-    result.sigmas = {"alpha_n": float(np.sqrt(var_total))}
     return result
 
 

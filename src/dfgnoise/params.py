@@ -76,13 +76,6 @@ class ConverterParams:
                 f"bandwidth_ref_hz must be positive, got {self.bandwidth_ref_hz}"
             )
 
-    def eta_max(self, which: str) -> float:
-        if which == "internal":
-            return self.eta_max_int
-        if which == "external":
-            return self.eta_max_ext
-        raise ParameterError(f"which must be 'internal' or 'external', got {which!r}")
-
 
 def sfg_partner_wavelength(lambda_pump_nm: float, lambda_tele_nm: float) -> float:
     """Visible wavelength produced by SFG of a telecom photon with the pump,

@@ -104,12 +104,14 @@ def simulate_efficiency(cfg: RunConfig, seed: int, out_dir: Path) -> list[Path]:
     grid = _pump_grid(cfg.sweep)
     rel = cfg.sweep.efficiency_noise_rel
     paths = []
-    for kind, which, stream in (
-        ("efficiency_int", "internal", _STREAM_EFF_INT),
-        ("efficiency_ext", "external", _STREAM_EFF_EXT),
+    params = cfg.converter
+    for kind, eta_max, stream in (
+        ("efficiency_int", params.eta_max_int, _STREAM_EFF_INT),
+        ("efficiency_ext", params.eta_max_ext, _STREAM_EFF_EXT),
     ):
-        model = np.asarray(converter.dfg_efficiency(cfg.converter, grid, which=which))
-        floor = _EFF_SIGMA_FLOOR * rel * cfg.converter.eta_max(which)
+        model = np.asarray(converter.efficiency_curve(grid, eta_max, params.eta_n,
+                                                      params.length_cm))
+        floor = _EFF_SIGMA_FLOOR * rel * eta_max
         sigma = np.maximum(rel * model, max(floor, 1e-12))
         rng = np.random.default_rng(counting.derive_seed(seed, stream))
         value = model + sigma * rng.standard_normal(len(grid))
@@ -369,7 +371,6 @@ def run_fit_noise(
     result = FitResult(
         names=names,
         values={name: fit.values["alpha_n"] for name, fit in zip(names, fits)},
-        sigmas={name: fit.sigmas["alpha_n"] for name, fit in zip(names, fits)},
         covariance=np.diag([fit.covariance[0, 0] for fit in fits]),
         chi2_reduced=float("nan"),
         n_iterations=sum(fit.n_iterations for fit in fits),

@@ -11,6 +11,7 @@ from __future__ import annotations
 from . import converter
 from .config import RunConfig
 from .dataio import apply_efficiency_fit, fitted_values
+from .fitting import EFFICIENCY_PARAMETERS
 
 __all__ = ["build_report"]
 
@@ -48,8 +49,7 @@ def build_report(
     fitted = {}  # sigma (or None) of each fitted parameter
     if efficiency_fit is not None:
         params = apply_efficiency_fit(params, efficiency_fit)
-        values, sigmas = fitted_values(efficiency_fit, "efficiency fit",
-                                       ("eta_max_int", "eta_max_ext", "eta_n"))
+        values, sigmas = fitted_values(efficiency_fit, "efficiency fit", EFFICIENCY_PARAMETERS)
         eta_ext = values["eta_max_ext"]
         fitted.update(sigmas)
     if noise_fit is not None:

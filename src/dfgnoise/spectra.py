@@ -65,14 +65,14 @@ class SpectralScan:
     """A sampled spectrum on a uniform wavelength grid.
 
     ``filter_fwhm_nm`` records the bandwidth of the filter that produced
-    the scan; 0 marks an unfiltered (intrinsic) model spectrum.  A row
-    that breaks a rule of its columns is a ``RowError``.
+    the scan; 0 marks an unfiltered (intrinsic) model spectrum.  The grid's
+    step, :attr:`step_nm`, is worked out from its first two wavelengths.
+    A row that breaks a rule of its columns is a ``RowError``.
     """
 
     wavelength_nm: np.ndarray
     rate_hz: np.ndarray
     filter_fwhm_nm: float = 0.0
-    step_nm: float = 0.0
     integration_time_s: float = 0.0
 
     def __post_init__(self):
@@ -91,8 +91,11 @@ class SpectralScan:
                    ("rate_hz", rate, (rate >= 0) & (rate < np.inf), "finite and non-negative"))
         if len(wl) < 2:
             raise ParameterError("a scan needs at least two samples")
-        if self.step_nm == 0.0:
-            self.step_nm = float(steps[0])
+
+    @property
+    def step_nm(self) -> float:
+        """The grid's step in nm, its first two wavelengths apart."""
+        return float(self.wavelength_nm[1] - self.wavelength_nm[0])
 
     def __len__(self) -> int:
         return len(self.wavelength_nm)
@@ -358,6 +361,4 @@ def resample_scan(scan: SpectralScan, grid_nm) -> SpectralScan:
     if grid[0] < scan.wavelength_nm[0] - 1e-12 or grid[-1] > scan.wavelength_nm[-1] + 1e-12:
         raise ParameterError("target grid extends beyond the scan")
     rate = np.interp(grid, scan.wavelength_nm, scan.rate_hz)
-    return replace(
-        scan, wavelength_nm=grid, rate_hz=rate, step_nm=float(grid[1] - grid[0])
-    )
+    return replace(scan, wavelength_nm=grid, rate_hz=rate)

@@ -325,14 +325,15 @@ def test_scan_sidecar_that_contradicts_the_scan_is_data_error(outdir, key, value
 
 @pytest.mark.parametrize("step", [0.0, 0.1, 0.09999999999990905, 0.1 * (1 + 5e-10)])
 def test_scan_sidecar_step_of_the_grid_reads(outdir, step):
-    # 0 means the grid's own step; the template writes 0.09999999999990905
+    # 0 means the grid's own step; the template writes 0.09999999999990905,
+    # and the scan's step is the grid's whatever step the sidecar holds
     assert run("simulate", "telecom-spectrum", "--out", str(outdir)) == 0
     path = outdir / "telecom_spectrum.csv"
     meta = json.loads(dataio.sidecar_path(path).read_text())
     assert meta["step_nm"] == 0.09999999999990905
     dataio.sidecar_path(path).write_text(json.dumps({**meta, "step_nm": step}))
     scan, _ = dataio.read_scan_csv(path)
-    assert scan.step_nm == (step or 0.09999999999990905)
+    assert scan.step_nm == 0.09999999999990905
 
 
 @pytest.mark.parametrize("broken", ["missing", "string"])
@@ -405,12 +406,13 @@ def test_efficiency_fit_parameter_order_exit_code(outdir, order, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("eta_max_int", 1.5), ("eta_max_int", -0.2),
-                                        ("eta_n", -0.1)])
+                                        ("eta_max_ext", 1.5), ("eta_n", -0.1)])
 @pytest.mark.parametrize("command", ["fit-noise", "report"])
 def test_efficiency_fit_that_describes_no_converter_exit_code(outdir, command, key, value,
                                                               capsys):
-    # eta_max_ext is capped at eta_max_int before the device is built; the
-    # message shows the values the file holds, not the capped ones
+    # eta_max_ext is capped at eta_max_int before the device is built, so
+    # one above 1 is rejected before the cap hides it; the message shows the
+    # values the file holds, not the capped ones
     fitted = {"eta_max_int": 0.67, "eta_max_ext": 0.461, "eta_n": 0.63, key: value}
     outdir.mkdir()
     fit_path = outdir / "eff.json"
@@ -435,10 +437,9 @@ def test_fit_nonconvergence_exit_code(outdir, monkeypatch):
     from dfgnoise.fitting import FitResult
 
     def fake_fit(cfg, a, b, out):
-        result = FitResult(names=["x"], values={"x": 1.0}, sigmas={"x": 1.0},
-                           covariance=np.eye(1), chi2_reduced=1.0, n_iterations=200,
-                           converged=False, message="iteration cap of 200 reached",
-                           n_points=1)
+        result = FitResult(names=["x"], values={"x": 1.0}, covariance=np.eye(1),
+                           chi2_reduced=1.0, n_iterations=200, converged=False,
+                           message="iteration cap of 200 reached", n_points=1)
         return result, out / "fit_efficiency.json"
 
     monkeypatch.setattr(pipelines, "run_fit_efficiency", fake_fit)
@@ -550,6 +551,8 @@ _NOISE_FIT = {
     ("--efficiency-fit", _EFFICIENCY_FIT, "x", "sigmas"),
     ("--efficiency-fit", _EFFICIENCY_FIT, {"eta_n": True}, "sigmas.eta_n"),
     ("--efficiency-fit", _EFFICIENCY_FIT, {"eta_max_ext": 1e999}, "sigmas.eta_max_ext"),
+    ("--noise-fit", _NOISE_FIT, {"alpha_n_tele": -2e3}, "sigmas.alpha_n_tele"),
+    ("--efficiency-fit", _EFFICIENCY_FIT, {"eta_max_int": -0.01}, "sigmas.eta_max_int"),
 ])
 def test_report_malformed_sigmas_exit_code(outdir, option, fit, sigmas, key, capsys):
     outdir.mkdir(parents=True)

@@ -300,7 +300,7 @@ def test_loader_bases_read_alike(tmp_path, monkeypatch, text):
 
 def test_scan_csv_round_trip(tmp_path):
     grid = np.arange(1540.0, 1542.0, 0.04)
-    scan = SpectralScan(grid, 12345.6789 * np.exp(-((grid - 1541.0) ** 2)), 0.2, 0.04, 10.0)
+    scan = SpectralScan(grid, 12345.6789 * np.exp(-((grid - 1541.0) ** 2)), 0.2, 10.0)
     path = dataio.write_scan_csv(scan, tmp_path / "scan.csv", metadata={"pump_w": 0.44})
     loaded, meta = dataio.read_scan_csv(path)
     assert np.array_equal(loaded.wavelength_nm, scan.wavelength_nm)
@@ -341,7 +341,6 @@ def test_fit_json_round_trip(tmp_path):
     result = FitResult(
         names=["a", "b"],
         values={"a": 1.2345678901234567, "b": 0.3333333333333333},
-        sigmas={"a": 0.01, "b": 0.02},
         covariance=np.array([[1e-4, 0.0], [0.0, 4e-4]]),
         chi2_reduced=0.97,
         n_iterations=7,
@@ -357,7 +356,7 @@ def test_fit_json_round_trip(tmp_path):
     payload = dataio.read_fit_json(path)
     assert payload["fit"] == "demo"
     assert payload["parameters"] == result.values
-    assert payload["sigmas"] == result.sigmas
+    assert payload["sigmas"] == result.sigmas == {"a": 0.01, "b": 0.02}
     assert payload["covariance"] == [[1e-4, 0.0], [0.0, 4e-4]]
     assert payload["converged"] is True
     assert payload["inputs"] == {

@@ -66,44 +66,44 @@ def test_quadrature_rejects_odd_steps(params):
 
 # ------------------------------------------------------ efficiency curve
 
+def efficiency(params, pump_w, eta_max):
+    """The sin^2 efficiency curve of ``params`` saturating at ``eta_max``."""
+    return converter.efficiency_curve(pump_w, eta_max, params.eta_n, params.length_cm)
+
+
 def test_efficiency_zero_pump(params):
-    assert converter.dfg_efficiency(params, 0.0) == 0.0
+    assert efficiency(params, 0.0, params.eta_max_int) == 0.0
 
 
 def test_efficiency_reaches_maxima_near_quarter_watt(params):
     # sin argument is within 1e-3 of its peak at 245 mW
-    assert converter.dfg_efficiency(params, 0.245, "internal") == pytest.approx(0.67, abs=1e-3)
-    assert converter.dfg_efficiency(params, 0.245, "external") == pytest.approx(0.46, abs=1e-3)
+    assert efficiency(params, 0.245, params.eta_max_int) == pytest.approx(0.67, abs=1e-3)
+    assert efficiency(params, 0.245, params.eta_max_ext) == pytest.approx(0.46, abs=1e-3)
 
 
 def test_efficiency_exact_at_peak_power(params):
     p_star = converter.peak_pump_power(params)
-    assert converter.dfg_efficiency(params, p_star) == pytest.approx(0.67, rel=1e-15)
-    assert converter.dfg_efficiency(params, p_star, "external") == pytest.approx(0.46, rel=1e-15)
+    assert efficiency(params, p_star, params.eta_max_int) == pytest.approx(0.67, rel=1e-15)
+    assert efficiency(params, p_star, params.eta_max_ext) == pytest.approx(0.46, rel=1e-15)
 
 
 def test_efficiency_periodic_in_sqrt_power(params):
     # maxima repeat at odd-squared multiples of the first peak power
     p_star = converter.peak_pump_power(params)
-    assert converter.dfg_efficiency(params, 9.0 * p_star) == pytest.approx(0.67, rel=1e-12)
-    assert converter.dfg_efficiency(params, 4.0 * p_star) == pytest.approx(0.0, abs=1e-25)
+    assert efficiency(params, 9.0 * p_star, params.eta_max_int) == pytest.approx(0.67, rel=1e-12)
+    assert efficiency(params, 4.0 * p_star, params.eta_max_int) == pytest.approx(0.0, abs=1e-25)
 
 
 def test_efficiency_bounded(params):
     grid = np.linspace(0.0, 2.0, 400)
-    eff = converter.dfg_efficiency(params, grid)
+    eff = efficiency(params, grid, params.eta_max_int)
     assert np.all(eff >= 0.0)
     assert np.all(eff <= 0.67 + 1e-15)
 
 
-def test_efficiency_invalid_selector(params):
-    with pytest.raises(ParameterError):
-        converter.dfg_efficiency(params, 0.1, which="total")
-
-
 def test_negative_pump_rejected(params):
     with pytest.raises(ParameterError):
-        converter.dfg_efficiency(params, -0.1)
+        efficiency(params, -0.1, params.eta_max_int)
 
 
 # ------------------------------------------------------ peak pump power
@@ -152,16 +152,28 @@ def test_visible_noise_frozen_values(params_vis):
     assert converter.visible_noise_rate(params_vis, 0.1) == pytest.approx(28755.3007096, rel=1e-10)
 
 
+def visible_noise_rate_lowpower(params, pump_w):
+    """Quadratic low-power approximation of the visible noise rate,
+    (1/3) * alpha_n * eta_n * eta_max_int * L^3 * P^2: the check of
+    :func:`converter.visible_noise_rate` at low power.
+
+    Overestimates the exact rate by about x^2/20 with
+    x = 2L*sqrt(eta_n*P): below 2% for x <= 0.63, about 2.5% at x = 0.7.
+    """
+    return (params.alpha_n * params.eta_n * params.eta_max_int * params.length_cm**3
+            * pump_w * pump_w / 3.0)
+
+
 def test_lowpower_frozen_value(params_vis):
     # (1/3) * alpha * eta_n * eta_max * L^3 * P^2
-    assert converter.visible_noise_rate_lowpower(params_vis, 0.01) == pytest.approx(
+    assert visible_noise_rate_lowpower(params_vis, 0.01) == pytest.approx(
         352.08768, rel=1e-12
     )
 
 
 def test_lowpower_ratio_approaches_one(params_vis):
     ratios = [
-        converter.visible_noise_rate_lowpower(params_vis, p)
+        visible_noise_rate_lowpower(params_vis, p)
         / converter.visible_noise_rate(params_vis, p)
         for p in (1e-2, 1e-4, 1e-6)
     ]
@@ -174,7 +186,7 @@ def test_lowpower_monotone_overestimate(params_vis):
     l, eta_n = params_vis.length_cm, params_vis.eta_n
     x = np.linspace(0.05, np.pi - 0.05, 50)
     p = (x / (2 * l)) ** 2 / eta_n
-    ratio = converter.visible_noise_rate_lowpower(params_vis, p) / converter.visible_noise_rate(
+    ratio = visible_noise_rate_lowpower(params_vis, p) / converter.visible_noise_rate(
         params_vis, p
     )
     assert np.all(ratio > 1.0)
@@ -182,7 +194,7 @@ def test_lowpower_monotone_overestimate(params_vis):
 
 
 def test_quadratic_overestimates_far_outside_validity(params_vis):
-    ratio = converter.visible_noise_rate_lowpower(params_vis, 0.44) / converter.visible_noise_rate(
+    ratio = visible_noise_rate_lowpower(params_vis, 0.44) / converter.visible_noise_rate(
         params_vis, 0.44
     )
     assert ratio > 1.25
@@ -281,11 +293,11 @@ def test_params_validation(kwargs):
 
 def test_vectorized_over_pump(params):
     grid = np.linspace(0.0, 0.5, 11)
-    eff = converter.dfg_efficiency(params, grid)
+    eff = efficiency(params, grid, params.eta_max_int)
     rate = converter.telecom_noise_rate(params, grid)
     assert isinstance(eff, np.ndarray) and eff.shape == grid.shape
     assert isinstance(rate, np.ndarray) and rate.shape == grid.shape
-    assert isinstance(converter.dfg_efficiency(params, 0.1), float)
+    assert isinstance(efficiency(params, 0.1, params.eta_max_int), float)
 
 
 def test_sinc_series_branch_continuity():

@@ -70,7 +70,7 @@ def _sweep(draw, grid: list[float]) -> PowerSweep:
 
 
 def _fit(n_points: int) -> FitResult:
-    return FitResult(names=["a"], values={"a": 1.0}, sigmas={"a": 0.1},
+    return FitResult(names=["a"], values={"a": 1.0},
                      covariance=np.array([[0.01]]), chi2_reduced=1.0, n_iterations=3,
                      converged=True, message="ok", n_points=n_points)
 

@@ -113,6 +113,18 @@ def test_rank_deficient_model_flagged():
     assert result.values["a"] + result.values["b"] == pytest.approx(2.0, abs=1e-10)
 
 
+def test_sigmas_are_worked_out_from_the_covariance():
+    result = fitting.FitResult(names=["a", "b"], values={"a": 1.0, "b": 2.0},
+                               covariance=np.array([[4e-4, 0.0], [0.0, -1e-30]]),
+                               chi2_reduced=1.0, n_iterations=1, converged=True,
+                               message="ok", n_points=3)
+    assert result.sigmas == {"a": 0.02, "b": 0.0}
+    result.covariance = np.diag([9e-4, 1e-4])
+    assert result.sigmas == {"a": 0.03, "b": 0.01}
+    with pytest.raises(AttributeError):
+        result.sigmas = {"a": 1.0, "b": 1.0}
+
+
 # ------------------------------------------------- shared efficiency fit
 
 def test_shared_fit_noiseless_recovery():
@@ -473,7 +485,6 @@ def _efficiency_ladder_reference(sweep_int, sweep_ext, length_cm, start=None):
         raw,
         names=names,
         values=dict(zip(names, map(float, theta))),
-        sigmas=dict(zip(names, map(float, np.sqrt(np.maximum(np.diag(cov), 0.0))))),
         covariance=cov,
     ), winner
 

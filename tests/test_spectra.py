@@ -393,6 +393,15 @@ def test_scan_validation():
         SpectralScan(np.array([1.0, 2.0, 4.0]), np.array([1.0, 1.0, 1.0]))
 
 
+def test_scan_step_is_the_grids():
+    grid = 1540.0 + 0.1 * np.arange(5)
+    scan = SpectralScan(grid, np.ones(5))
+    assert scan.step_nm == float(grid[1] - grid[0])
+    assert spectra.resample_scan(scan, grid[1:4:2]).step_nm == float(grid[3] - grid[1])
+    with pytest.raises(AttributeError):
+        scan.step_nm = 0.2
+
+
 def test_band_fraction_requires_shared_grid():
     a = SpectralScan(np.arange(578.0, 584.0, 0.01), np.ones(600))
     b = SpectralScan(np.arange(578.0, 590.0, 0.02), np.ones(600))

@@ -5,6 +5,7 @@ kept, and that read returns what parsing the file returns."""
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,9 +65,10 @@ def _write(draw, kind: str, path: Path) -> Path:
     n = draw(st.integers(1, 2000))
     grid = _grid(draw, n)
     if kind == "scan":
-        scan = SpectralScan.__new__(SpectralScan)   # any columns, valid or not
-        scan.wavelength_nm, scan.rate_hz = grid, np.abs(_floats(draw, n))
-        scan.filter_fwhm_nm, scan.step_nm, scan.integration_time_s = 0.2, 0.0, 1.0
+        # any columns, valid or not, so a stand-in for a scan, whose step
+        # a grid of one point does not give
+        scan = SimpleNamespace(wavelength_nm=grid, rate_hz=np.abs(_floats(draw, n)),
+                               filter_fwhm_nm=0.2, step_nm=0.0, integration_time_s=1.0)
         return dataio.write_scan_csv(scan, path)
     if kind == "sweep":
         sweep = PowerSweep.__new__(PowerSweep)
@@ -216,7 +218,7 @@ def test_tables_that_do_not_read_back_as_written_are_not_kept(tmp_path):
     dataio.write_sweep_csv(nan, tmp_path / "nan.csv")
     assert (tmp_path / "nan.csv").read_text().splitlines()[1] == "0.1,nan,1.0"
     # no reader reads a residual table
-    result = FitResult(names=["a"], values={"a": 1.0}, sigmas={"a": 0.1},
+    result = FitResult(names=["a"], values={"a": 1.0},
                        covariance=np.array([[0.01]]), chi2_reduced=1.0, n_iterations=1,
                        converged=True, message="ok", n_points=1)
     sweep = PowerSweep(np.array([0.1]), np.array([1.0]), np.array([0.5]), "noise_vis")
