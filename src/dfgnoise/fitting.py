@@ -1,11 +1,12 @@
 """Weighted least-squares machinery and the device parameter fits.
 
-A small Levenberg-Marquardt minimizer (:func:`lsq_minimize`) drives all
-nonlinear fits.  On top of it sit the three fits used to characterize a
-converter:
+A small Levenberg-Marquardt minimizer (:func:`lsq_minimize`) drives the
+spectral feature fit.  Three fits characterize a converter:
 
 * :func:`fit_efficiency_shared` -- joint sin^2 fit of the internal and
-  external efficiency sweeps with a common conversion parameter,
+  external efficiency sweeps with a common conversion parameter; the
+  saturation values are solved in closed form, which leaves a 1-D
+  search over the conversion parameter,
 * :func:`fit_alpha_linear` -- zero-intercept linear fit of the detuned
   telecom noise, giving the noise coefficient directly,
 * :func:`fit_alpha_visible` -- visible noise fit with the saturation
@@ -49,11 +50,16 @@ SWEEP_KINDS = ("efficiency_int", "efficiency_ext") + NOISE_SWEEP_KINDS
 EFFICIENCY_PARAMETERS = ("eta_max_int", "eta_max_ext", "eta_n")
 
 _MAX_DAMPING = 1e14
-# iteration cap and convergence tolerances of lsq_minimize
+# iteration cap of both fit searches, convergence tolerances of lsq_minimize
 _MAX_ITER = 200
 _FTOL = 1e-10
 _XTOL = 1e-12
 _TINY = np.finfo(float).tiny
+# the efficiency fit's grid of the phase L*sqrt(eta_n*P) at the top pump
+# power: from far below the first efficiency peak (pi/2) to 6 pi
+_THETA_GRID = np.geomspace(1e-3, 6.0 * np.pi, 600)
+# its eta_n search stops at a step below this, relative to eta_n
+_ETA_N_XTOL = 1e-10
 
 
 def check_rows(*rules) -> None:
@@ -136,7 +142,7 @@ class FitResult:
 
 def lsq_minimize(
     model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    initial: Sequence[float] | Sequence[Sequence[float]],
+    initial: Sequence[float],
     *,
     names: Sequence[str],
 ) -> FitResult:
@@ -144,16 +150,12 @@ def lsq_minimize(
 
     ``model`` maps a parameter vector to its vector of m weighted
     residuals and their Jacobian, the (m, n) matrix of partial
-    derivatives, from one evaluation; ``names`` names the n parameters.
-    The damping parameter is adapted multiplicatively: large damping
-    makes steps gradient-descent-like, small damping Gauss-Newton-like.
-
-    ``initial`` is one start (n values) or a (k, n) array of starts.
-    Several starts are descended one after the other, in order, and the
-    one that ends at the lowest cost wins; on a tie the earlier start is
-    kept.  ``n_iterations``, ``converged`` and ``message`` are the
-    winner's, and the covariance is computed for the winner only, from
-    the Jacobian of its final point.
+    derivatives, from one evaluation; ``names`` names the n parameters,
+    and ``initial`` holds their start values.  The damping parameter is
+    adapted multiplicatively: large damping makes steps
+    gradient-descent-like, small damping Gauss-Newton-like.  Each point
+    tried is evaluated once, and the covariance comes from the Jacobian
+    of the final point.
 
     Convergence is declared when the relative cost change drops below
     ``_FTOL`` or the step norm below ``_XTOL`` (relative to the parameter
@@ -161,61 +163,11 @@ def lsq_minimize(
     returned with ``converged=False``.  Singular normal equations are
     solved in the least-squares sense and reported in ``message``.
     """
-    starts = np.array(initial, dtype=float, ndmin=2)
-    if starts.ndim != 2 or len(starts) == 0:
-        raise ParameterError("initial must be one start vector or a (k, n) array of starts")
-    n = starts.shape[1]
+    x = np.array(initial, dtype=float)
     names = list(names)
-    if len(names) != n:
-        raise ParameterError("names and initial vector disagree in length")
+    if x.ndim != 1 or len(names) != len(x):
+        raise ParameterError("initial must be one start value per name")
 
-    best = None
-    for x0 in starts:
-        run = _descend(model, x0)
-        if best is None or run[3] < best[3]:  # final costs; a tie keeps the earlier
-            best = run
-    x, r, jac, cost, n_iter, converged, message, rank_deficient = best
-    m = len(r)
-
-    hess = jac.T @ jac
-    if np.linalg.matrix_rank(hess) < n:
-        rank_deficient = True
-        covariance = np.linalg.pinv(hess)
-    else:
-        try:
-            covariance = np.linalg.inv(hess)
-        except np.linalg.LinAlgError:
-            rank_deficient = True
-            covariance = np.linalg.pinv(hess)
-    if rank_deficient:
-        message += "; normal equations rank-deficient (covariance from pseudo-inverse)"
-
-    chi2_red = cost / (m - n) if m > n else float("nan")
-    return FitResult(
-        names=names,
-        values={k: float(v) for k, v in zip(names, x)},
-        covariance=covariance,
-        chi2_reduced=float(chi2_red),
-        n_iterations=n_iter,
-        converged=converged,
-        message=message,
-        n_points=m,
-    )
-
-
-def _evaluate(model, x):
-    """The residuals and Jacobian of ``model`` at ``x``, as float arrays."""
-    r, jac = model(x)
-    return np.asarray(r, dtype=float), np.asarray(jac, dtype=float)
-
-
-def _descend(model, x):
-    """One Levenberg-Marquardt descent from ``x``.
-
-    Returns the final point, its residuals, Jacobian and cost, the
-    iteration count, the convergence flag and message, and whether a
-    damped solve was singular.
-    """
     r, jac = _evaluate(model, x)
     if not np.isfinite(r).all():
         raise FitFailureError("residuals are not finite at the initial point")
@@ -271,45 +223,42 @@ def _descend(model, x):
             converged = True
             message = "step norm below xtol"
             break
-    return x, r, jac, cost, n_iter, converged, message, rank_deficient
+
+    covariance, undetermined = _inverse_normal_matrix(jac)
+    if rank_deficient or undetermined is not None:
+        message += "; normal equations rank-deficient (covariance from pseudo-inverse)"
+    m, n = len(r), len(x)
+    return FitResult(
+        names=names,
+        values={k: float(v) for k, v in zip(names, x)},
+        covariance=covariance,
+        chi2_reduced=cost / (m - n) if m > n else float("nan"),
+        n_iterations=n_iter,
+        converged=converged,
+        message=message,
+        n_points=m,
+    )
 
 
-def _logit(p):
-    return np.log(p / (1.0 - p))
+def _evaluate(model, x):
+    """The residuals and Jacobian of ``model`` at ``x``, as float arrays."""
+    r, jac = model(x)
+    return np.asarray(r, dtype=float), np.asarray(jac, dtype=float)
 
 
-def _sigmoid(u):
-    # the clamp keeps math.exp finite: far below -709 the result is ~1e-308
-    return 1.0 / (1.0 + math.exp(min(-u, 709.0)))
-
-
-def _eta_model_and_grads(p, eta_max, eta_n, length_cm):
-    """sin^2 model plus derivatives w.r.t. logit(eta_max) and log(eta_n).
-
-    Elementwise in ``p`` and ``eta_max``, which may be an array of the
-    same length (one saturation value per point).
-    """
-    theta = length_cm * np.sqrt(eta_n * p)
-    s = np.sin(theta)
-    model = eta_max * s * s
-    d_logit = s * s * eta_max * (1.0 - eta_max)
-    d_logeta = eta_max * np.sin(2.0 * theta) * theta / 2.0
-    return model, d_logit, d_logeta
-
-
-def _initial_efficiency_guess(sweep: PowerSweep, length_cm: float) -> tuple[float, float]:
-    """Crude (eta_max, eta_n) start: the largest observed efficiency and the
-    conversion parameter implied by the position of the observed maximum."""
-    eta_guess = float(np.clip(np.max(sweep.value), 1e-3, 1.0 - 1e-3))
-    i_max = int(np.argmax(sweep.value))
-    p_star = sweep.pump_w[i_max]
-    if p_star <= 0:
-        p_star = sweep.pump_w[-1]
-    if i_max == len(sweep) - 1:
-        # no turnover seen: assume the peak lies just beyond the scan
-        p_star = 1.2 * p_star
-    eta_n_guess = (np.pi / (2.0 * length_cm)) ** 2 / p_star
-    return eta_guess, eta_n_guess
+def _inverse_normal_matrix(jac):
+    """The covariance (J^T J)^-1 of a fit whose weighted residuals have the
+    Jacobian ``jac``, and None; or, if J^T J is rank-deficient, its
+    pseudo-inverse and the index of the parameter the data leave
+    undetermined, the one that weighs most in its null direction."""
+    hess = jac.T @ jac
+    if np.linalg.matrix_rank(hess) == len(hess):
+        try:
+            return np.linalg.inv(hess), None
+        except np.linalg.LinAlgError:
+            pass
+    null = np.linalg.eigh(hess)[1][:, 0]
+    return np.linalg.pinv(hess), int(np.argmax(np.abs(null)))
 
 
 def fit_efficiency_shared(
@@ -321,52 +270,102 @@ def fit_efficiency_shared(
 
     Fits eta_max * sin^2(L*sqrt(eta_n*P)) to the internal and external
     sweeps simultaneously; ``eta_n`` is common, the saturation values are
-    separate.  Internally the fit runs in logit(eta_max) / log(eta_n)
-    coordinates so the range constraints need no bounded optimizer;
-    results and covariance are reported in natural units.
+    separate and enter linearly: at a given ``eta_n`` each is its own
+    sweep's weighted least-squares solution, clipped to [0, 1].  That
+    leaves a cost profile in ``eta_n`` alone, evaluated on the phase grid
+    ``_THETA_GRID``; a Newton search polishes its lowest point between
+    that point's neighbours, so no start is needed.  The covariance comes
+    from the Jacobian in (eta_max_int, eta_max_ext, eta_n); when the data
+    leave one of them undetermined, the fit has not converged and
+    ``message`` names it.
     """
     if len(sweep_int) < 3 or len(sweep_ext) < 3:
         raise InsufficientDataError("need at least 3 points per efficiency sweep")
     if length_cm <= 0:
         raise ParameterError("length_cm must be positive")
 
-    # both sweeps stacked: one pump, value and sigma vector, and a mask of
-    # the internal points, which take eta_max_int (the others eta_max_ext)
+    # both sweeps stacked, internal first: one pump vector, values and sin^2
+    # basis in units of each point's sigma, and the sweep of each point
     p = np.concatenate([sweep_int.pump_w, sweep_ext.pump_w])
-    y = np.concatenate([sweep_int.value, sweep_ext.value])
-    sigma = np.concatenate([sweep_int.sigma, sweep_ext.sigma])
-    n_int = len(sweep_int)
-    is_int = np.arange(len(p)) < n_int
+    inv_sigma = 1.0 / np.concatenate([sweep_int.sigma, sweep_ext.sigma])
+    y = np.concatenate([sweep_int.value, sweep_ext.value]) * inv_sigma
+    sweep_of = np.repeat([0, 1], [len(sweep_int), len(sweep_ext)])
+    firsts = [0, len(sweep_int)]
 
-    def model(u):
-        eta_max = np.where(is_int, _sigmoid(u[0]), _sigmoid(u[1]))
-        eta, d_logit, d_log = _eta_model_and_grads(p, eta_max, np.exp(u[2]), length_cm)
-        d_logit = -d_logit / sigma
-        jac = np.zeros((len(p), 3))
-        jac[:n_int, 0] = d_logit[:n_int]
-        jac[n_int:, 1] = d_logit[n_int:]
-        jac[:, 2] = -d_log / sigma
-        return (y - eta) / sigma, jac
+    def profile(eta_n):
+        """Residuals and saturation values at each of ``eta_n`` (one row
+        each), with the unclipped solutions, the basis, the phase and each
+        sweep's sum of squared basis values the search needs."""
+        theta = length_cm * np.sqrt(np.multiply.outer(eta_n, p))
+        basis = np.sin(theta) ** 2 * inv_sigma
+        norm = np.add.reduceat(basis * basis, firsts, axis=-1)
+        solved = np.divide(np.add.reduceat(basis * y, firsts, axis=-1), norm,
+                           out=np.zeros_like(norm), where=norm > 0)
+        eta_max = np.clip(solved, 0.0, 1.0)
+        return y - eta_max[..., sweep_of] * basis, eta_max, solved, basis, theta, norm
 
-    # the sin^2 model has secondary cost basins when eta_n starts far off;
-    # start from a small ladder of eta_n rescalings, the best one wins
-    g_int, en_int = _initial_efficiency_guess(sweep_int, length_cm)
-    g_ext, en_ext = _initial_efficiency_guess(sweep_ext, length_cm)
-    en_start = np.sqrt(en_int * en_ext)
-    starts = [[_logit(g_int), _logit(g_ext), np.log(max(en_start * factor, 1e-12))]
-              for factor in (1.0, 0.25, 4.0)]
-    raw = lsq_minimize(model, starts, names=["u_int", "u_ext", "log_eta_n"])
+    def point(eta_n):
+        """Cost, half gradient and half Gauss-Newton curvature of the profile
+        at one ``eta_n``, with its saturation values, basis and the basis'
+        derivative."""
+        r, eta_max, solved, basis, theta, norm = profile(eta_n)
+        d_basis = np.sin(2.0 * theta) * theta / (2.0 * eta_n) * inv_sigma
+        # how each saturation value off its bounds moves with eta_n
+        d_eta_max = np.divide(
+            np.add.reduceat((r - eta_max[sweep_of] * basis) * d_basis, firsts), norm,
+            out=np.zeros(2), where=(solved > 0) & (solved < 1))
+        d_r = -(eta_max[sweep_of] * d_basis + d_eta_max[sweep_of] * basis)
+        return float(r @ r), float(r @ d_r), float(d_r @ d_r), (eta_max, basis, d_basis)
 
-    u = raw.as_vector()
-    theta = np.array([_sigmoid(u[0]), _sigmoid(u[1]), np.exp(u[2])])
-    # covariance through the coordinate change, diag Jacobian
-    scale = np.array([theta[0] * (1 - theta[0]), theta[1] * (1 - theta[1]), theta[2]])
+    grid = (_THETA_GRID / length_cm) ** 2 / p.max()
+    r = profile(grid)[0]
+    i = int(np.argmin(np.einsum("ij,ij->i", r, r)))
+    # Newton search between the lowest grid point's neighbours (0 below the
+    # grid, twice its top above): it keeps the lowest point x strictly inside
+    # (lo, hi), whose ends cost at least as much.  A step downhill is kept
+    # and the next takes its curvature from the secant of the gradient, or
+    # from Gauss-Newton where that is not positive; a step uphill is halved,
+    # and one out of (lo, hi) goes halfway to the end it heads for.
+    lo, x, hi = map(float, np.r_[0.0, grid, 2.0 * grid[-1]][i:i + 3])
+    cost, grad, curv, fit = point(x)
+    step = -grad / curv if curv > 0 else 0.0
+    n_iter = 0
+    while abs(step) > _ETA_N_XTOL * x and n_iter < _MAX_ITER:
+        n_iter += 1
+        x_try = x + step
+        if not lo < x_try < hi:
+            x_try = (x + (hi if step > 0 else lo)) / 2.0
+        cost_try, grad_try, curv, fit_try = point(x_try)
+        if cost_try < cost:
+            lo, hi = (x, hi) if x_try > x else (lo, x)
+            slope = (grad_try - grad) / (x_try - x)
+            curv = slope if slope > 0 else curv
+            x, cost, grad, fit = x_try, cost_try, grad_try, fit_try
+            step = -grad / curv if curv > 0 else 0.0
+        else:
+            lo, hi = (lo, x_try) if x_try > x else (x_try, hi)
+            step = (x_try - x) / 2.0
+
+    eta_max, basis, d_basis = fit
+    jac = np.column_stack([-basis * (sweep_of == 0), -basis * (sweep_of == 1),
+                           -eta_max[sweep_of] * d_basis])
     names = list(EFFICIENCY_PARAMETERS)
-    return replace(
-        raw,
+    converged = abs(step) <= _ETA_N_XTOL * x
+    message = "eta_n step below xtol" if converged else f"iteration cap of {_MAX_ITER} reached"
+    covariance, undetermined = _inverse_normal_matrix(jac)
+    if undetermined is not None:
+        converged = False
+        message = (f"the data leave {names[undetermined]} undetermined (normal equations "
+                   "rank-deficient, covariance from pseudo-inverse)")
+    return FitResult(
         names=names,
-        values=dict(zip(names, map(float, theta))),
-        covariance=raw.covariance * np.outer(scale, scale),
+        values=dict(zip(names, map(float, (*eta_max, x)))),
+        covariance=covariance,
+        chi2_reduced=cost / (len(p) - 3),
+        n_iterations=n_iter,
+        converged=converged,
+        message=message,
+        n_points=len(p),
     )
 
 

@@ -155,6 +155,26 @@ def test_fit_efficiency_from_simulated_data(outdir):
     )
 
 
+def test_fit_efficiency_of_a_converter_that_converts_nothing(tmp_path):
+    # a valid config with eta_n = 0, in a cold process as a user runs it:
+    # a fit, or one line saying which parameter the data leave open
+    config = tmp_path / "run.yaml"
+    write_template(config)
+    config.write_text(config.read_text().replace("eta_n_per_w_cm2: 0.63", "eta_n_per_w_cm2: 0.0"))
+    assert run("simulate", "efficiency", "--config", str(config), "--seed", "12",
+               "--out", str(tmp_path)) == 0
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dfgnoise.cli", "fit", "efficiency", "--config", str(config),
+         "--internal", str(tmp_path / "efficiency_int.csv"),
+         "--external", str(tmp_path / "efficiency_ext.csv"), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "") or (
+        proc.returncode == cli.EXIT_NO_CONVERGENCE and len(proc.stderr.splitlines()) == 1), \
+        proc.stderr
+
+
 def test_fit_efficiency_insufficient_data(outdir, tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("pump_w,value,sigma\n0.1,0.2,0.01\n0.2,0.5,0.01\n")

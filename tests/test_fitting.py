@@ -1,7 +1,5 @@
 """Tests for the damped least-squares engine and the device fits."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -20,11 +18,11 @@ from dfgnoise.fitting import (
 PARAMS = ConverterParams(4.0, 0.67, 0.46, 0.63, 129e3, 25e9)
 
 
-def _efficiency_sweeps(noise_rel=0.0, rng=None, n=15):
+def _efficiency_sweeps(noise_rel=0.0, rng=None, n=15, eta_n=0.63):
     p = np.linspace(0.02, 0.44, n)
     data = {}
     for kind, eta in (("efficiency_int", 0.67), ("efficiency_ext", 0.46)):
-        y = efficiency_curve(p, eta, 0.63, 4.0)
+        y = efficiency_curve(p, eta, eta_n, 4.0)
         sigma = np.maximum(noise_rel * y, 1e-4) if noise_rel else np.full_like(p, 0.01)
         if rng is not None and noise_rel:
             y = y + sigma * rng.standard_normal(n)
@@ -102,6 +100,12 @@ def test_each_point_is_evaluated_once():
         lsq_minimize(_bent_valley, [-1.2, 1.0], ["a", "b"])
 
 
+def test_lsq_minimize_takes_one_start():
+    for initial in (np.zeros((2, 2)), np.zeros(3), 1.0):
+        with pytest.raises(ParameterError, match="one start value per name"):
+            lsq_minimize(lambda a: (a, np.eye(len(a))), initial, names=["a", "b"])
+
+
 def test_rank_deficient_model_flagged():
     # two parameters enter only through their sum: singular normal equations
     x = np.linspace(0, 1, 9)
@@ -135,17 +139,26 @@ def test_shared_fit_noiseless_recovery():
     assert result.values["eta_max_ext"] == pytest.approx(0.46, abs=1e-8)
 
 
-@pytest.mark.parametrize(
-    "initial",
-    [(0.3, 0.3, 0.1), (0.9, 0.9, 0.1), (0.3, 0.3, 2.0), (0.9, 0.9, 2.0), (0.6, 0.6, 1.05)],
-)
-def test_shared_fit_initial_guess_basin(initial):
-    # the ladder of eta_n starts finds the true basin from a start far off
-    sweep_int, sweep_ext = _efficiency_sweeps()
-    result, _ = _efficiency_ladder_reference(sweep_int, sweep_ext, 4.0, start=initial)
-    assert result.values["eta_n"] == pytest.approx(0.63, abs=1e-8)
-    assert result.values["eta_max_int"] == pytest.approx(0.67, abs=1e-8)
-    assert result.values["eta_max_ext"] == pytest.approx(0.46, abs=1e-8)
+@pytest.mark.parametrize("eta_n", [0.01, 20.0])
+def test_shared_fit_noiseless_recovery_away_from_the_peak(eta_n):
+    # at 0.01 the efficiency peak lies six times beyond the top pump power;
+    # at 20 the curve turns over three times within the sweep
+    result = fit_efficiency_shared(*_efficiency_sweeps(eta_n=eta_n), 4.0)
+    assert result.converged
+    assert result.values["eta_n"] == pytest.approx(eta_n, rel=1e-8)
+    assert result.values["eta_max_int"] == pytest.approx(0.67, rel=1e-8)
+    assert result.values["eta_max_ext"] == pytest.approx(0.46, rel=1e-8)
+
+
+def test_shared_fit_of_zero_sweeps_leaves_eta_n_undetermined():
+    # with both saturation values 0, no eta_n fits better than another
+    p = np.array([0.1, 0.2, 0.3])
+    zero = [PowerSweep(p, np.zeros(3), np.full(3, 0.01), kind)
+            for kind in ("efficiency_int", "efficiency_ext")]
+    result = fit_efficiency_shared(*zero, 4.0)
+    assert not result.converged
+    assert "eta_n undetermined" in result.message
+    assert (result.values["eta_max_int"], result.values["eta_max_ext"]) == (0.0, 0.0)
 
 
 def test_shared_fit_monte_carlo_statistics():
@@ -229,36 +242,26 @@ def test_fit_independent_of_point_order():
 
 
 def test_jacobian_matches_central_differences():
-    """Analytic Jacobians of the built-in models vs central finite differences."""
-    from dfgnoise.fitting import _eta_model_and_grads, _logit, _sigmoid
+    """The covariance is the inverse normal matrix of the Jacobian in
+    (eta_max_int, eta_max_ext, eta_n), here by central differences."""
+    rng = np.random.default_rng(5)
+    sweep_int, sweep_ext = _efficiency_sweeps(noise_rel=0.02, rng=rng, n=9)
+    result = fit_efficiency_shared(sweep_int, sweep_ext, 4.0)
 
-    p = np.linspace(0.02, 0.44, 9)
-    u = np.array([_logit(0.61), np.log(0.8)])
+    def residuals(theta):
+        return np.concatenate([
+            (s.value - eta_max * efficiency_curve(s.pump_w, 1.0, theta[2], 4.0)) / s.sigma
+            for s, eta_max in ((sweep_int, theta[0]), (sweep_ext, theta[1]))])
 
-    def model_of_u(u_vec):
-        return _eta_model_and_grads(p, _sigmoid(u_vec[0]), np.exp(u_vec[1]), 4.0)[0]
-
-    _, d_logit, d_logeta = _eta_model_and_grads(p, _sigmoid(u[0]), np.exp(u[1]), 4.0)
-    for j, analytic in ((0, d_logit), (1, d_logeta)):
-        h = 1e-6 * max(1.0, abs(u[j]))
-        up, dn = u.copy(), u.copy()
+    theta = result.as_vector()
+    jac = np.empty((18, 3))
+    for j in range(3):
+        h = 1e-6 * theta[j]
+        up, dn = theta.copy(), theta.copy()
         up[j] += h
         dn[j] -= h
-        fd = (model_of_u(up) - model_of_u(dn)) / (2 * h)
-        assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-9)
-
-
-def test_sigmoid_finite_and_monotone_far_out():
-    # the exp argument is clamped, so no OverflowError at large negative u
-    from dfgnoise.fitting import _sigmoid
-
-    u = [-1000.0, -709.5, -30.0, 0.0, 30.0, 1000.0]
-    values = [_sigmoid(x) for x in u]
-    assert all(np.isfinite(values))
-    assert all(0.0 <= v <= 1.0 for v in values)
-    assert values == sorted(values)
-    assert values[0] < values[-1] == 1.0
-    assert _sigmoid(0.0) == 0.5
+        jac[:, j] = (residuals(up) - residuals(dn)) / (2 * h)
+    assert np.allclose(result.covariance, np.linalg.inv(jac.T @ jac), rtol=1e-5, atol=0)
 
 
 # ------------------------------------------------------------- alpha fits
@@ -356,160 +359,3 @@ def test_power_sweep_rejects_non_finite(column, bad):
     with pytest.raises(ParameterError, match="finite"):
         PowerSweep(data["pump_w"], data["value"], data["sigma"], "noise_vis")
 
-
-# ------------------------------------------------------- several starts
-
-def _cost(model, result):
-    r = model(result.as_vector())[0]
-    return float(r @ r)
-
-
-def _assert_same_fit(a, b):
-    assert a.names == b.names
-    assert a.values == b.values
-    assert a.sigmas == b.sigmas
-    assert a.covariance.tobytes() == b.covariance.tobytes()
-    assert a.chi2_reduced == b.chi2_reduced or (np.isnan(a.chi2_reduced)
-                                                and np.isnan(b.chi2_reduced))
-    assert (a.n_iterations, a.converged, a.message, a.n_points) == (
-        b.n_iterations, b.converged, b.message, b.n_points)
-
-
-def _exp_problem():
-    x = np.linspace(0.1, 1.0, 12)
-    y = 0.5 * np.exp(1.3 * x) + 0.01 * np.sin(7.0 * x)
-
-    def model(a):
-        e = np.exp(a[1] * x)
-        return y - a[0] * e, np.column_stack([-e, -a[0] * x * e])
-
-    return model, [[1.0, 1.0], [0.1, 3.0], [2.0, -1.0], [0.5, 1.3]]
-
-
-def _rank_deficient_problem():
-    x = np.linspace(0, 1, 9)
-    return (lambda a: (2.0 * x - (a[0] + a[1]) * x, np.column_stack([-x, -x])),
-            [[0.3, 0.3], [5.0, -1.0]])
-
-
-def _forward_difference(model):
-    """``model`` with its Jacobian approximated by forward differences."""
-    def approximate(a):
-        r0 = model(a)[0]
-        steps = 1e-7 * np.maximum(1.0, np.abs(a))
-        return r0, np.column_stack([(model(a + h * e)[0] - r0) / h
-                                    for h, e in zip(steps, np.eye(len(a)))])
-    return approximate
-
-
-@pytest.mark.parametrize("problem", [_exp_problem, _rank_deficient_problem])
-@pytest.mark.parametrize("analytic", [True, False])
-def test_several_starts_match_the_best_single_start(problem, analytic):
-    # the winner is picked on final cost, with an exact Jacobian or not
-    model, starts = problem()
-    model = model if analytic else _forward_difference(model)
-    singles = [lsq_minimize(model, s, names=["a", "b"]) for s in starts]
-    best = singles[int(np.argmin([_cost(model, s) for s in singles]))]
-    ladder = lsq_minimize(model, np.array(starts), names=["a", "b"])
-    _assert_same_fit(ladder, best)
-    if problem is _rank_deficient_problem:
-        assert "rank-deficient" in ladder.message
-
-
-def test_several_starts_tie_keeps_the_earlier_start():
-    # a mirror-symmetric cost: starts at +2 and -2 end at +1 and -1 with
-    # bit-equal costs, so only the order of the starts decides
-    def model(a):
-        return np.array([a[0] * a[0] - 1.0]), np.array([[2.0 * a[0]]])
-
-    def fit(starts):
-        return lsq_minimize(model, starts, names=["a"])
-
-    up, down = fit([2.0]), fit([-2.0])
-    assert _cost(model, up) == _cost(model, down)
-    assert up.values["a"] == -down.values["a"] > 0.0
-    _assert_same_fit(fit([[2.0], [-2.0]]), up)
-    _assert_same_fit(fit([[-2.0], [2.0]]), down)
-
-
-def test_several_starts_reject_a_bad_shape():
-    for starts in (np.zeros((2, 2, 2)), np.zeros((0, 2))):
-        with pytest.raises(ParameterError, match="starts"):
-            lsq_minimize(lambda a: (a, np.eye(len(a))), starts, names=["a", "b"])
-
-
-def _efficiency_ladder_reference(sweep_int, sweep_ext, length_cm, start=None):
-    """The shared efficiency fit as three single-start fits, each sweep's
-    residuals computed separately and the winner chosen on a recomputed
-    cost: the reference for the stacked residuals and the in-call ladder.
-    ``start`` (eta_max_int, eta_max_ext, eta_n) replaces the data's own."""
-    from dfgnoise.fitting import (_eta_model_and_grads, _initial_efficiency_guess, _logit,
-                                  _sigmoid)
-
-    if start is None:
-        g_int, en_int = _initial_efficiency_guess(sweep_int, length_cm)
-        g_ext, en_ext = _initial_efficiency_guess(sweep_ext, length_cm)
-        start = (g_int, g_ext, np.sqrt(en_int * en_ext))
-    p_i, y_i, s_i = sweep_int.pump_w, sweep_int.value, sweep_int.sigma
-    p_e, y_e, s_e = sweep_ext.pump_w, sweep_ext.value, sweep_ext.sigma
-
-    def model(u):
-        a_i, a_e, eta_n = _sigmoid(u[0]), _sigmoid(u[1]), np.exp(u[2])
-        m_i, di_logit, di_log = _eta_model_and_grads(p_i, a_i, eta_n, length_cm)
-        m_e, de_logit, de_log = _eta_model_and_grads(p_e, a_e, eta_n, length_cm)
-        jac = np.zeros((len(p_i) + len(p_e), 3))
-        jac[: len(p_i), 0] = -di_logit / s_i
-        jac[: len(p_i), 2] = -di_log / s_i
-        jac[len(p_i):, 1] = -de_logit / s_e
-        jac[len(p_i):, 2] = -de_log / s_e
-        return np.concatenate([(y_i - m_i) / s_i, (y_e - m_e) / s_e]), jac
-
-    raw, winner = None, None
-    for i, factor in enumerate((1.0, 0.25, 4.0)):
-        u0 = np.array([
-            _logit(np.clip(start[0], 1e-3, 1 - 1e-3)),
-            _logit(np.clip(start[1], 1e-3, 1 - 1e-3)),
-            np.log(max(start[2] * factor, 1e-12)),
-        ])
-        candidate = lsq_minimize(model, u0, names=["u_int", "u_ext", "log_eta_n"])
-        cand_cost = _cost(model, candidate)
-        if raw is None or cand_cost < best_cost:
-            raw, best_cost, winner = candidate, cand_cost, i
-
-    u = raw.as_vector()
-    theta = np.array([_sigmoid(u[0]), _sigmoid(u[1]), np.exp(u[2])])
-    scale = np.array([theta[0] * (1 - theta[0]), theta[1] * (1 - theta[1]), theta[2]])
-    cov = raw.covariance * np.outer(scale, scale)
-    names = ["eta_max_int", "eta_max_ext", "eta_n"]
-    return replace(
-        raw,
-        names=names,
-        values=dict(zip(names, map(float, theta))),
-        covariance=cov,
-    ), winner
-
-
-def test_shared_fit_matches_the_three_call_ladder():
-    # 240 seeds over 3/12/40-point sweeps at 1% and 5% point noise
-    cases = [(n, noise) for n in (3, 12, 40) for noise in (0.01, 0.05)]
-    winners = set()
-    for seed in range(240):
-        n, noise = cases[seed % len(cases)]
-        sweep_int, sweep_ext = _efficiency_sweeps(noise, np.random.default_rng(seed), n)
-        expected, winner = _efficiency_ladder_reference(sweep_int, sweep_ext, 4.0)
-        _assert_same_fit(fit_efficiency_shared(sweep_int, sweep_ext, 4.0), expected)
-        winners.add(winner)
-    # the 0.25x or the 4x eta_n start wins somewhere: the ladder is exercised
-    assert winners - {0}
-
-
-def test_eta_model_is_elementwise_in_eta_max():
-    from dfgnoise.fitting import _eta_model_and_grads
-
-    p = np.linspace(0.02, 0.44, 9)
-    eta_max = np.where(np.arange(9) < 4, 0.67, 0.46)
-    stacked = _eta_model_and_grads(p, eta_max, 0.63, 4.0)
-    for a, b in ((slice(0, 4), 0.67), (slice(4, 9), 0.46)):
-        single = _eta_model_and_grads(p[a], b, 0.63, 4.0)
-        for s, out in zip(single, stacked):
-            assert s.tobytes() == out[a].tobytes()
